@@ -3,9 +3,11 @@
 Measures commands/sec of ``TimingEngine.simulate`` (the ground-truth
 per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
-stream compile cost and the end-to-end functional ``run_ntt`` speedup of
-the stream-routed driver over the legacy per-command bank — and merges
-the measurements into ``BENCH_kernels.json`` at the repo root.
+stream compile cost, the cold mapping cost (the columnar mapper
+emitting its ``StreamIR``) and the end-to-end functional ``run_ntt``
+speedup of the stream-routed driver over the legacy per-command bank —
+and merges the measurements into ``BENCH_kernels.json`` at the repo
+root.
 
 Non-gating when run directly —
 
@@ -20,6 +22,7 @@ bit-identical to — and not slower than — the legacy loop:
 from __future__ import annotations
 
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -35,6 +38,7 @@ from repro.dram import (
     clear_stream_cache,
     compile_stream,
 )
+from repro.mapping.program_cache import clear_program_cache, cyclic_program
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.driver import NttPimDriver, SimConfig
@@ -104,9 +108,40 @@ def run(ns=(1024, 4096), repeats: int = 5,
             "bank_speedup": bank_legacy_s / bank_stream_s,
         }
     compiler["nb1"] = _bench_nb1(repeats)
-    results = {"timing_engine": section, "compiler": compiler}
+    results = {"timing_engine": section, "compiler": compiler,
+               "mapping": _bench_mapping(repeats)}
     merge_sections(out_path, results)
     return results
+
+
+#: (N, Nb) shapes of the cold-mapping section: the Nb=2 row-centric
+#: mapping at two sizes and the 166k-command Nb=1 scalar µ-op mapping.
+MAPPING_SHAPES = ((1024, 2), (4096, 2), (4096, 1))
+
+
+def _bench_mapping(repeats: int) -> dict:
+    """Cold mapping cost: a program-cache miss, i.e. the mapper emitting
+    its StreamIR, as the median over ``repeats`` runs."""
+    section = {}
+    for n, nb in MAPPING_SHAPES:
+        params = NttParams(n, find_ntt_prime(n, 32))
+        pim = PimParams(nb_buffers=nb)
+        samples = []
+        for _ in range(repeats):
+            clear_program_cache()
+            start = time.perf_counter()
+            program = cyclic_program(params, HBM2E_ARCH, pim)
+            samples.append(time.perf_counter() - start)
+        clear_program_cache()
+        cold_s = statistics.median(samples)
+        section[f"{n}_nb{nb}"] = {
+            "n": n,
+            "nb": nb,
+            "commands": program.ir.n,
+            "cold_map_s": cold_s,
+            "cold_us_per_cmd": cold_s / program.ir.n * 1e6,
+        }
+    return section
 
 
 def _bench_nb1(repeats: int, n: int = 256) -> dict:
@@ -166,6 +201,12 @@ def _format(results: dict) -> str:
         f"  Nb=1 N={nb1['n']} ({nb1['commands']} u-op cmds): lane-fused "
         f"{nb1['fused_s'] * 1e3:.2f} ms vs per-command "
         f"{nb1['fallback_s'] * 1e3:.2f} ms ({nb1['fused_speedup']:.1f}x)")
+    lines.append("mapping: cold program-cache miss (median):")
+    for entry in results["mapping"].values():
+        lines.append(
+            f"  N={entry['n']:>5d} Nb={entry['nb']}  {entry['commands']:>6d} "
+            f"cmds  {entry['cold_map_s'] * 1e3:7.1f} ms "
+            f"({entry['cold_us_per_cmd']:.2f} us/cmd)")
     return "\n".join(lines)
 
 
@@ -199,6 +240,8 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["timing_engine"]["256"]["engine_speedup"] > 0
     assert results["compiler"]["256"]["cold_us_per_cmd"] > 0
     assert results["compiler"]["nb1"]["fused_speedup"] > 0
+    assert all(entry["cold_us_per_cmd"] > 0
+               for entry in results["mapping"].values())
 
 
 def main(argv=None) -> int:

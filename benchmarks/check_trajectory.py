@@ -12,6 +12,8 @@ committed floor:
 * compiler: the pass-based IR pipeline's cold compile must stay below
   the retired monolith's ~2.3 us/command rate, and the Nb=1 lane-fused
   run must not be slower than the per-command fallback it replaced;
+* mapping: the columnar mapper's cold program generation must stay
+  below ``MAPPING_US_PER_CMD_CEILING`` on every benched shape;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -57,6 +59,10 @@ BANK_SPEEDUP_FLOOR = 1.0
 #: pipeline measures ~1.2 us/command and must never creep back above
 #: the monolith's rate.
 COMPILE_US_PER_CMD_CEILING = 2.3
+#: The columnar mapper (builder rows -> StreamIR, no Command objects)
+#: measures ~3 us/command cold; the Command-dataclass mapper it
+#: replaced measured ~15 us/command.
+MAPPING_US_PER_CMD_CEILING = 6.0
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
 #: (measured ~4x faster).
@@ -239,6 +245,17 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
             failures.append(
                 f"compiler Nb=1: lane-fused run slower than the "
                 f"per-command fallback ({nb1['fused_speedup']:.2f}x)")
+
+    for shape, entry in kernels.get("mapping", {}).items():
+        print(f"mapping: N={entry['n']} Nb={entry['nb']} cold "
+              f"{entry['cold_map_s'] * 1e3:.1f} ms "
+              f"({entry['cold_us_per_cmd']:.2f} us/cmd, ceiling "
+              f"{MAPPING_US_PER_CMD_CEILING})")
+        if entry["cold_us_per_cmd"] > MAPPING_US_PER_CMD_CEILING:
+            failures.append(
+                f"mapping {shape}: cold mapping "
+                f"{entry['cold_us_per_cmd']:.2f} us/cmd exceeds the "
+                f"{MAPPING_US_PER_CMD_CEILING} us/cmd ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

@@ -82,30 +82,30 @@ def precompile_request(config: SimConfig, request) -> bool:
             program = cyclic_program(ntt, config.arch, config.pim,
                                      config.base_row, 0,
                                      config.mapper_options)
-            warm(cached_stream(program.commands, config.arch,
+            warm(cached_stream(program.ir, config.arch,
                                key=program.key), program.key)
             return True
         if type(request) is NegacyclicRequest:
             program = negacyclic_program(request.ring, config.arch,
                                          config.pim, config.base_row,
                                          inverse=request.inverse)
-            warm(cached_stream(program.commands, config.arch,
+            warm(cached_stream(program.ir, config.arch,
                                key=program.key), program.key)
             return True
         if type(request) is MultiBankRequest:
             programs, stream, key = compile_multibank(
                 multibank_specs(request), len(request.inputs), config)
             warm(stream, key)
-            warm(programs[0].commands, programs[0].key)
+            warm(programs[0].ir, programs[0].key)
             # Functional execution replays every bank's own stream.
             for program in programs[1:]:
-                cached_stream(program.commands, config.arch, key=program.key)
+                cached_stream(program.ir, config.arch, key=program.key)
             return True
         if type(request) is BatchRequest:
             programs, stream, key, _ = compile_batch(
                 request.params, len(request.inputs), config)
             warm(stream, key)
-            warm(programs[0].commands, programs[0].key)
+            warm(programs[0].ir, programs[0].key)
             return True
         if type(request) is ProgramRequest:
             warm(cached_stream(request.commands, config.arch), None)

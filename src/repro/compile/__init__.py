@@ -2,9 +2,11 @@
 
 Command programs compile through a real (small) compiler pipeline:
 
-``Commands -> StreamIR -> passes -> CommandStream``
+``mapper -> StreamIR -> passes -> CommandStream``
 
-* :class:`StreamIR` (:mod:`repro.compile.ir`) — the SoA columnar IR.
+* :class:`StreamIR` (:mod:`repro.compile.ir`) — the SoA columnar IR,
+  emitted directly by the mappers' ``ProgramBuilder`` (hand-built
+  command tuples enter through ``StreamIR.from_commands``).
 * :mod:`repro.compile.passes` — buffer renaming, dependency-depth
   grouping, lane-granular (Nb=1) renaming, group-result pooling; each
   independently toggleable via the ``passes`` argument and

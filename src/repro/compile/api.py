@@ -19,8 +19,8 @@ engine-room modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["CompiledProgram", "compile_request"]
 
@@ -112,14 +112,14 @@ def compile_request(request, config=None, *, passes=None) -> CompiledProgram:
         ntt = request.params.inverse() if request.inverse else request.params
         program = cyclic_program(ntt, config.arch, config.pim,
                                  config.base_row, 0, config.mapper_options)
-        stream = cached_stream(program.commands, config.arch,
+        stream = cached_stream(program.ir, config.arch,
                                key=program.key, passes=pass_tag)
         return CompiledProgram(request, stream, key=program.key,
                                passes=pass_tag)
     if type(request) is NegacyclicRequest:
         program = negacyclic_program(request.ring, config.arch, config.pim,
                                      config.base_row, inverse=request.inverse)
-        stream = cached_stream(program.commands, config.arch,
+        stream = cached_stream(program.ir, config.arch,
                                key=program.key, passes=pass_tag)
         return CompiledProgram(request, stream, key=program.key,
                                passes=pass_tag)

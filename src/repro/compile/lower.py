@@ -13,8 +13,9 @@ round-robin multi-bank interleave and the back-to-back batch concat,
 reimplemented as index permutations over the concatenated columns (the
 legacy per-command list merges in :mod:`repro.sim.multibank` /
 :mod:`repro.sim.batch` remain as the toggled-off ground truth).  Merged
-IRs carry a provenance recipe instead of materialized ``Command``
-objects; only the legacy fallback paths ever rebuild those.
+IRs carry a provenance recipe over their source IRs instead of
+``Command`` objects, so a cold merge of mapper-built programs never
+constructs one; only the legacy fallback paths ever materialize them.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def interleave_irs(programs) -> StreamIR:
         buf2s=col("buf2s"),
         lanes=col("lanes"),
         gs=col("gs"),
+        payloads=col("payloads"),
         dep_start=dep_start,
         dep_end=dep_end,
         dep_flat=dep_flat,
@@ -179,7 +181,7 @@ def interleave_irs(programs) -> StreamIR:
         has_omega0=col("has_omega0"),
         has_r_omega=col("has_r_omega"),
         zeta_lens=col("zeta_lens"),
-        merge_sources=tuple(ir.materialize_commands() for ir in irs),
+        merge_sources=tuple(irs),
         merge_prog=prog[order],
         merge_pos=pos[order],
     )
@@ -246,6 +248,7 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
         buf2s=col("buf2s"),
         lanes=col("lanes"),
         gs=col("gs"),
+        payloads=col("payloads"),
         dep_start=dep_end - counts,
         dep_end=dep_end,
         dep_flat=dep_flat,
@@ -255,7 +258,7 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
         has_omega0=col("has_omega0"),
         has_r_omega=col("has_r_omega"),
         zeta_lens=col("zeta_lens"),
-        merge_sources=tuple(ir.materialize_commands() for ir in irs),
+        merge_sources=tuple(irs),
         merge_prog=prog[kept],
         merge_pos=pos[kept],
     )

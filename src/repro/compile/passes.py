@@ -36,7 +36,7 @@ the equivalence tests assert values, µ-op counters and energy against
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

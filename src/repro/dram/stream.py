@@ -37,9 +37,7 @@ pass set, so merged batch/multibank programs compile once per shape.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from .._cache import ArtifactCache
 from ..compile.plan import FunctionalPlan
@@ -65,9 +63,9 @@ CAT_ACT, CAT_PRE, CAT_COLUMN, CAT_COMPUTE = 0, 1, 2, 3
 class CommandStream:
     """One compiled program: SoA columns + optional functional plan.
 
-    ``commands`` is lazy: streams built by the vectorized merge passes
-    (interleave/concat) carry a provenance recipe in their ``ir`` and
-    only materialize :class:`Command` objects if a legacy fallback path
+    ``commands`` is lazy: mapper-built streams carry only their ``ir``
+    columns (merge-built ones a provenance recipe over source IRs) and
+    materialize :class:`Command` objects only if a legacy fallback path
     asks for them.
     """
 
@@ -121,8 +119,8 @@ class CommandStream:
 
     @property
     def commands(self) -> Tuple[Command, ...]:
-        """The program as :class:`Command` objects (materialized lazily
-        for merge-built streams)."""
+        """The program as :class:`Command` objects (materialized from
+        the IR on first use)."""
         return self.ir.materialize_commands()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -63,7 +63,8 @@ class Fig6Result:
 def _simulate(builder: ProgramBuilder, nb: int):
     simulator = Simulator(SimConfig(pim=PimParams(nb_buffers=max(nb, 1)),
                                     functional=False, verify=False))
-    response = simulator.run(ProgramRequest(commands=builder.build()))
+    response = simulator.run(
+        ProgramRequest(commands=builder.build().materialize_commands()))
     return response.raw  # the ScheduleResult of the micro-study window
 
 

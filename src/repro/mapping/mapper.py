@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..arith.roots import NttParams
+from ..compile.ir import StreamIR
 from ..dram.commands import Command, CommandType
 from ..dram.timing import ArchParams
 from ..errors import MappingError
@@ -96,6 +97,10 @@ class NttMapper:
 
     # -- public API -------------------------------------------------------------
     def generate(self) -> List[Command]:
+        """The full command program as :class:`Command` objects."""
+        return list(self.generate_ir().materialize_commands())
+
+    def generate_ir(self) -> StreamIR:
         """The full command program, PARAM_WRITE through final PRE."""
         b = ProgramBuilder(self.bank, self.pim.nb_buffers)
         # q plus Montgomery constants travel over the global buffer as

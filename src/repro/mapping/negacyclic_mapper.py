@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..arith.modmath import mod_pow
+from ..compile.ir import StreamIR
 from ..dram.commands import Command, CommandType
 from ..dram.timing import ArchParams
 from ..errors import MappingError
@@ -91,6 +92,10 @@ class NegacyclicNttMapper:
 
     # -- program generation ----------------------------------------------------------
     def generate(self) -> List[Command]:
+        """The full command program as :class:`Command` objects."""
+        return list(self.generate_ir().materialize_commands())
+
+    def generate_ir(self) -> StreamIR:
         b = ProgramBuilder(self.bank, self.pim.nb_buffers)
         b.emit(CommandType.PARAM_WRITE, payload_words=6)
         n = self.ring.n

@@ -1,14 +1,55 @@
 """Incremental builder for MC command programs, with buffer-hazard and
-open-row bookkeeping shared by the mappers."""
+open-row bookkeeping shared by the mappers.
+
+The builder is columnar: each emitted command appends one flat row
+``(code, row, col, buf, buf2, lane, gs, payload_words, omega0, r_omega,
+zetas, deps)`` (``-1`` for unused integer fields), and :meth:`build`
+transposes the rows into a :class:`~repro.compile.ir.StreamIR`.  No
+:class:`~repro.dram.commands.Command` object is constructed; the
+per-type field checks ``Command.__post_init__`` would run per object
+run once, vectorized, at build (:meth:`StreamIR.validate`).
+"""
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional
 
-from ..dram.commands import Command, CommandType
+from ..compile.ir import StreamIR
+from ..dram.commands import CTYPE_CODES, CommandType
 from ..errors import MappingError
 
 __all__ = ["ProgramBuilder"]
+
+_ACT = CTYPE_CODES[CommandType.ACT]
+_CU_READ = CTYPE_CODES[CommandType.CU_READ]
+_CU_WRITE = CTYPE_CODES[CommandType.CU_WRITE]
+_C1 = CTYPE_CODES[CommandType.C1]
+_C2 = CTYPE_CODES[CommandType.C2]
+_C1N = CTYPE_CODES[CommandType.C1N]
+_LOAD_SCALAR = CTYPE_CODES[CommandType.LOAD_SCALAR]
+_BU_SCALAR = CTYPE_CODES[CommandType.BU_SCALAR]
+_STORE_SCALAR = CTYPE_CODES[CommandType.STORE_SCALAR]
+# Every PRE row is identical (no fields, no deps): share one tuple.
+_PRE_ROW = (CTYPE_CODES[CommandType.PRE], -1, -1, -1, -1, -1, False, 0,
+            None, None, (), ())
+
+
+def _dep(index: Optional[int]) -> tuple:
+    return () if index is None else (index,)
+
+
+def _dep_pair(a: Optional[int], b: Optional[int]) -> tuple:
+    """``tuple(sorted({a, b} - {None}))`` without the set."""
+    if a is None:
+        return _dep(b)
+    if b is None or a == b:
+        return (a,)
+    return (a, b) if a < b else (b, a)
+
+
+def _field(value: Optional[int]) -> int:
+    return -1 if value is None else value
 
 
 class ProgramBuilder:
@@ -18,19 +59,29 @@ class ProgramBuilder:
     def __init__(self, bank: int, nb_buffers: int):
         self.bank = bank
         self.nb_buffers = nb_buffers
-        self.commands: List[Command] = []
         self.open_row: Optional[int] = None
         # Last command that produced the buffer's current contents.
         self._producer: List[Optional[int]] = [None] * nb_buffers
         # Last command still needing the buffer's contents (WAR hazard).
         self._busy: List[Optional[int]] = [None] * nb_buffers
+        # One flat row per command (see the module docstring).
+        self._rows: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
     # -- raw emission ---------------------------------------------------------
-    def emit(self, ctype: CommandType, deps=(), **kwargs) -> int:
-        dep_tuple = tuple(sorted({d for d in deps if d is not None}))
-        cmd = Command(ctype=ctype, bank=self.bank, deps=dep_tuple, **kwargs)
-        self.commands.append(cmd)
-        return len(self.commands) - 1
+    def emit(self, ctype: CommandType, deps=(), *, row=None, col=None,
+             buf=None, buf2=None, lane=None, omega0=None, r_omega=None,
+             payload_words: int = 0, gs: bool = False, zetas=()) -> int:
+        """Append one command of any type; its fields are checked at
+        :meth:`build`."""
+        rows = self._rows
+        rows.append((CTYPE_CODES[ctype], _field(row), _field(col),
+                     _field(buf), _field(buf2), _field(lane), bool(gs),
+                     payload_words, omega0, r_omega, tuple(zetas),
+                     tuple(sorted({d for d in deps if d is not None}))))
+        return len(rows) - 1
 
     # -- row management --------------------------------------------------------
     def goto_row(self, row: int) -> None:
@@ -38,14 +89,15 @@ class ProgramBuilder:
         if self.open_row == row:
             return
         if self.open_row is not None:
-            self.emit(CommandType.PRE)
-        self.emit(CommandType.ACT, row=row)
+            self._rows.append(_PRE_ROW)
+        self._rows.append((_ACT, row, -1, -1, -1, -1, False, 0,
+                           None, None, (), ()))
         self.open_row = row
 
     def close_row(self) -> None:
         """Final precharge (restores the row buffer into the array)."""
         if self.open_row is not None:
-            self.emit(CommandType.PRE)
+            self._rows.append(_PRE_ROW)
             self.open_row = None
 
     # -- buffer-aware helpers ----------------------------------------------------
@@ -58,8 +110,10 @@ class ProgramBuilder:
         self._check_buf(buf)
         if self.open_row != row:
             raise MappingError(f"cu_read of row {row} while {self.open_row} open")
-        idx = self.emit(CommandType.CU_READ, deps=(self._busy[buf],),
-                        row=row, col=col, buf=buf)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_CU_READ, row, col, buf, -1, -1, False, 0, None, None,
+                     (), _dep(self._busy[buf])))
         self._producer[buf] = idx
         self._busy[buf] = idx
         return idx
@@ -69,15 +123,19 @@ class ProgramBuilder:
         self._check_buf(buf)
         if self.open_row != row:
             raise MappingError(f"cu_write to row {row} while {self.open_row} open")
-        idx = self.emit(CommandType.CU_WRITE, deps=(self._producer[buf],),
-                        row=row, col=col, buf=buf)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_CU_WRITE, row, col, buf, -1, -1, False, 0, None, None,
+                     (), _dep(self._producer[buf])))
         self._busy[buf] = idx
         return idx
 
     def c1(self, buf: int, omega0: int) -> int:
         self._check_buf(buf)
-        idx = self.emit(CommandType.C1, deps=(self._producer[buf],),
-                        buf=buf, omega0=omega0, r_omega=omega0)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_C1, -1, -1, buf, -1, -1, False, 0, omega0, omega0,
+                     (), _dep(self._producer[buf])))
         self._producer[buf] = idx
         self._busy[buf] = idx
         return idx
@@ -86,12 +144,13 @@ class ProgramBuilder:
            gs: bool = False) -> int:
         self._check_buf(buf_p)
         self._check_buf(buf_s)
-        idx = self.emit(CommandType.C2,
-                        deps=(self._producer[buf_p], self._producer[buf_s]),
-                        buf=buf_p, buf2=buf_s, omega0=omega0,
-                        r_omega=r_omega, gs=gs)
-        self._producer[buf_p] = idx
-        self._producer[buf_s] = idx
+        producer = self._producer
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_C2, -1, -1, buf_p, buf_s, -1, gs, 0, omega0, r_omega,
+                     (), _dep_pair(producer[buf_p], producer[buf_s])))
+        producer[buf_p] = idx
+        producer[buf_s] = idx
         self._busy[buf_p] = idx
         self._busy[buf_s] = idx
         return idx
@@ -99,8 +158,10 @@ class ProgramBuilder:
     def c1n(self, buf: int, zetas, gs: bool = False) -> int:
         """Merged negacyclic intra-atom command (extension)."""
         self._check_buf(buf)
-        idx = self.emit(CommandType.C1N, deps=(self._producer[buf],),
-                        buf=buf, zetas=tuple(zetas), gs=gs)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_C1N, -1, -1, buf, -1, -1, gs, 0, None, None,
+                     tuple(zetas), _dep(self._producer[buf])))
         self._producer[buf] = idx
         self._busy[buf] = idx
         return idx
@@ -109,16 +170,20 @@ class ProgramBuilder:
     def load_scalar(self, buf: int, lane: int) -> int:
         """reg_a <- buf[lane]; needs the buffer's current contents."""
         self._check_buf(buf)
-        idx = self.emit(CommandType.LOAD_SCALAR, deps=(self._producer[buf],),
-                        buf=buf, lane=lane)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_LOAD_SCALAR, -1, -1, buf, -1, lane, False, 0, None,
+                     None, (), _dep(self._producer[buf])))
         self._busy[buf] = idx
         return idx
 
     def bu_scalar(self, buf: int, lane: int, omega0: int) -> int:
         """BU(reg_a, buf[lane]); writes b' back into the lane."""
         self._check_buf(buf)
-        idx = self.emit(CommandType.BU_SCALAR, deps=(self._producer[buf],),
-                        buf=buf, lane=lane, omega0=omega0)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_BU_SCALAR, -1, -1, buf, -1, lane, False, 0, omega0,
+                     None, (), _dep(self._producer[buf])))
         self._producer[buf] = idx
         self._busy[buf] = idx
         return idx
@@ -126,11 +191,31 @@ class ProgramBuilder:
     def store_scalar(self, buf: int, lane: int) -> int:
         """buf[lane] <- reg_a."""
         self._check_buf(buf)
-        idx = self.emit(CommandType.STORE_SCALAR, deps=(self._producer[buf],),
-                        buf=buf, lane=lane)
+        rows = self._rows
+        idx = len(rows)
+        rows.append((_STORE_SCALAR, -1, -1, buf, -1, lane, False, 0, None,
+                     None, (), _dep(self._producer[buf])))
         self._producer[buf] = idx
         self._busy[buf] = idx
         return idx
 
-    def build(self) -> List[Command]:
-        return self.commands
+    def build(self) -> StreamIR:
+        """The program as a validated :class:`StreamIR`.
+
+        Hands the rows off: the builder keeps no per-command state
+        afterwards, so nothing but the IR's own columns stays alive.
+        Raises :class:`MappingError` on a malformed command (e.g. a raw
+        :meth:`emit` of a column command without its row)."""
+        rows, self._rows = self._rows, []
+        n = len(rows)
+        columns = tuple(zip(*rows)) if n else ((),) * 12
+        del rows
+        (codes, row_col, col_col, bufs, buf2s, lanes, gs, payloads,
+         omega0s, r_omegas, zetas, deps) = columns
+        ir = StreamIR.from_columns(
+            n, codes=codes, banks=itertools.repeat(self.bank, n),
+            rows=row_col, cols=col_col, bufs=bufs, buf2s=buf2s, lanes=lanes,
+            gs=gs, payloads=payloads, omega0s=omega0s, r_omegas=r_omegas,
+            zetas=zetas, deps=deps)
+        ir.validate()
+        return ir

@@ -4,15 +4,16 @@ A mapper's output is a deterministic artifact of ``(transform
 parameters, geometry, PIM config, placement)``: running the same NTT
 shape twice — every repetition of a batch, every bank of a multi-bank
 round, every point of an experiment sweep that revisits a size —
-regenerates an identical command list.  This module caches those
-programs.
+regenerates an identical program.  This module caches those programs.
 
-Cached programs are tuples of :class:`~repro.dram.commands.Command`
-objects shared between consumers.  That is safe because nothing in the
-simulator mutates a command after construction: the timing engine and
-the functional bank only read fields, and the batch/multi-bank mergers
-rewrite dependencies via ``dataclasses.replace`` (fresh copies).  Do not
-mutate commands obtained from this cache.
+A cached program is the mapper's :class:`~repro.compile.ir.StreamIR`
+(the columnar form the compiler consumes directly); its ``commands``
+are a lazy :class:`~repro.compile.ir.CommandView` that builds
+:class:`~repro.dram.commands.Command` objects only when a per-command
+consumer (trace, reference interpreter, legacy merge) iterates it.
+Both are shared between consumers and must not be mutated: the timing
+engine and the functional bank only read them, and the batch/multi-bank
+mergers build fresh columns or ``dataclasses.replace`` copies.
 
 The cache is thread-safe via the shared :class:`repro._cache.ArtifactCache`
 (locked lookup/statistics/eviction, generation outside the lock, one
@@ -24,12 +25,12 @@ cannot corrupt statistics or race the eviction scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .._cache import ArtifactCache
 
 from ..arith.roots import NttParams
-from ..dram.commands import Command
+from ..compile.ir import CommandView, StreamIR
 from ..dram.timing import ArchParams
 from ..ntt.negacyclic import NegacyclicParams
 from ..pim.params import PimParams
@@ -48,18 +49,25 @@ _MAX_ENTRIES = 512
 class CachedProgram:
     """One lowered NTT invocation, plus the mapper facts the driver needs.
 
-    ``key`` is the program-cache key the program was generated under — a
-    compact, exact stand-in for the command tuple's content (the program
-    is a deterministic function of the key), which downstream caches
-    (the schedule cache) use to avoid re-hashing thousands of commands
-    per lookup.  ``None`` (e.g. a hand-built program) means "no compact
-    key": consumers must fall back to structural keying, never share a
-    sentinel.
+    ``ir`` is the program in the compiler's columnar form; the stream
+    compile consumes it directly.  ``key`` is the program-cache key the
+    program was generated under — a compact, exact stand-in for the
+    program's content (the program is a deterministic function of the
+    key), which downstream caches (the stream and schedule caches) use
+    to avoid re-hashing thousands of commands per lookup.  ``None``
+    (e.g. a hand-built program) means "no compact key": consumers must
+    fall back to structural keying, never share a sentinel.
     """
 
-    commands: Tuple[Command, ...]
+    ir: StreamIR
     result_base_row: int
     key: Optional[tuple] = None
+
+    @property
+    def commands(self) -> CommandView:
+        """The program as a lazy ``Sequence[Command]``: ``len()`` is
+        O(1); iteration or indexing materializes the commands once."""
+        return CommandView(self.ir)
 
 
 _cache = ArtifactCache(_MAX_ENTRIES)
@@ -86,6 +94,10 @@ def cyclic_program(ntt: NttParams, arch: ArchParams, pim: PimParams,
                    options: MapperOptions = MapperOptions()) -> CachedProgram:
     """The command program of one cyclic NTT (Nb >= 2 row-centric mapping,
     or the Nb = 1 single-buffer mapping), memoized."""
+    if pim.nb_buffers == 1:
+        # The single-buffer mapping has no ablation switches: every
+        # option set maps to the same program, so they share one entry.
+        options = MapperOptions()
     key = ("cyclic", ntt.n, ntt.q, ntt.omega, arch, pim, base_row, bank,
            options)
 
@@ -95,8 +107,8 @@ def cyclic_program(ntt: NttParams, arch: ArchParams, pim: PimParams,
         else:
             mapper = NttMapper(ntt, arch, pim, base_row, bank,
                                options=options)
-        return CachedProgram(tuple(mapper.generate()),
-                             mapper.result_base_row, key)
+        return CachedProgram(mapper.generate_ir(), mapper.result_base_row,
+                             key)
 
     return _cache.get_or_create(key, generate)
 
@@ -111,8 +123,8 @@ def negacyclic_program(ring: NegacyclicParams, arch: ArchParams,
     def generate() -> CachedProgram:
         mapper = NegacyclicNttMapper(ring, arch, pim, base_row, bank,
                                      inverse=inverse)
-        return CachedProgram(tuple(mapper.generate()),
-                             mapper.result_base_row, key)
+        return CachedProgram(mapper.generate_ir(), mapper.result_base_row,
+                             key)
 
     return _cache.get_or_create(key, generate)
 

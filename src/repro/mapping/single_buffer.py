@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 
 from ..arith.modmath import mod_pow
 from ..arith.roots import NttParams
+from ..compile.ir import StreamIR
 from ..dram.commands import Command, CommandType
 from ..dram.timing import ArchParams
 from ..errors import MappingError
@@ -55,6 +56,10 @@ class SingleBufferMapper:
         self.result_base_row = base_row  # Nb=1 always computes in place
 
     def generate(self) -> List[Command]:
+        """The full command program as :class:`Command` objects."""
+        return list(self.generate_ir().materialize_commands())
+
+    def generate_ir(self) -> StreamIR:
         b = ProgramBuilder(self.bank, 1)
         b.emit(CommandType.PARAM_WRITE, payload_words=6)
         self._intra_atom_phase(b)

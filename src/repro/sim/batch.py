@@ -111,7 +111,7 @@ def compile_batch(params: NttParams, count: int, config: SimConfig,
     merged_key = programs_recipe_key("concat", programs, True)
     if "interleave" in normalize_passes(passes):
         def merge():
-            return concat_irs([p.commands for p in programs])
+            return concat_irs([p.ir for p in programs])
     else:
         def merge():
             return concat_programs([p.commands for p in programs])
@@ -134,7 +134,7 @@ def _run_batch(inputs: Sequence[Sequence[int]], params: NttParams,
     compute = config.pim.compute_timing()
     schedule = cached_schedule(merged_stream, config.timing, config.arch,
                                compute, config.energy, key=merged_key)
-    single = cached_schedule(programs[0].commands, config.timing, config.arch,
+    single = cached_schedule(programs[0].ir, config.timing, config.arch,
                              compute, config.energy, key=programs[0].key)
 
     verified = False

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from .._cache import ArtifactCache
 from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
+from ..compile.ir import StreamIR
 from ..dram.commands import Command
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import TimingEngine
@@ -73,7 +74,8 @@ _schedule_cache = ArtifactCache(_MAX_SCHEDULES)
 def cached_schedule(commands, timing, arch, compute, energy, key=None):
     """Memoized stream-compiled ``TimingEngine`` simulation.
 
-    ``commands`` is a command sequence or an already-compiled
+    ``commands`` is a command sequence, a mapper-built
+    :class:`~repro.compile.ir.StreamIR` or an already-compiled
     :class:`~repro.dram.stream.CommandStream`.  Cold lookups compile the
     program (via the shared stream cache) and run the engine's
     vectorized stream loop — bit-identical to ``simulate(commands)``.
@@ -83,14 +85,17 @@ def cached_schedule(commands, timing, arch, compute, energy, key=None):
     recipe over such keys) that avoids hashing thousands of commands per
     lookup; when ``None``, the command tuple itself is the key.
     """
-    if isinstance(commands, CommandStream):
-        stream = commands
-        # Only materialize Command objects when no structural key exists
-        # (merge-built streams are lazy; the timing loop never needs them).
-        content_key = key if key is not None else tuple(commands.commands)
+    stream = commands if isinstance(commands, CommandStream) else None
+    # Only materialize Command objects when no structural key exists
+    # (IR-backed programs are lazy; the timing loop never needs them).
+    if key is not None:
+        content_key = key
+    elif stream is not None:
+        content_key = stream.commands
+    elif isinstance(commands, StreamIR):
+        content_key = commands.materialize_commands()
     else:
-        stream = None
-        content_key = key if key is not None else tuple(commands)
+        content_key = tuple(commands)
     cache_key = (content_key, timing, arch, compute, energy)
 
     def simulate():
@@ -182,8 +187,7 @@ class NttPimDriver:
         if len(values) != ntt.n:
             raise ValueError(f"expected {ntt.n} values, got {len(values)}")
         program = self._program(ntt)
-        commands = program.commands
-        stream = cached_stream(commands, cfg.arch, key=program.key)
+        stream = cached_stream(program.ir, cfg.arch, key=program.key)
 
         schedule = cached_schedule(stream, cfg.timing, cfg.arch,
                                    cfg.pim.compute_timing(), cfg.energy,
@@ -211,7 +215,7 @@ class NttPimDriver:
         return NttRunResult(
             n=ntt.n, q=ntt.q, nb_buffers=cfg.pim.nb_buffers,
             output=output, schedule=schedule, verified=verified,
-            command_count=len(commands), bu_ops=bu_ops)
+            command_count=program.ir.n, bu_ops=bu_ops)
 
     def _run_negacyclic_ntt(self, values: Sequence[int],
                             ring: NegacyclicParams,
@@ -228,8 +232,7 @@ class NttPimDriver:
             raise ValueError(f"expected {ring.n} values, got {len(values)}")
         program = negacyclic_program(ring, cfg.arch, cfg.pim, cfg.base_row,
                                      inverse=inverse)
-        commands = program.commands
-        stream = cached_stream(commands, cfg.arch, key=program.key)
+        stream = cached_stream(program.ir, cfg.arch, key=program.key)
         schedule = cached_schedule(stream, cfg.timing, cfg.arch,
                                    cfg.pim.compute_timing(), cfg.energy,
                                    key=program.key)
@@ -256,7 +259,7 @@ class NttPimDriver:
         return NttRunResult(
             n=ring.n, q=ring.q, nb_buffers=cfg.pim.nb_buffers,
             output=output, schedule=schedule, verified=verified,
-            command_count=len(commands), bu_ops=bu_ops)
+            command_count=program.ir.n, bu_ops=bu_ops)
 
     def _run_negacyclic_intt(self, values: Sequence[int],
                              ring: NegacyclicParams) -> NttRunResult:
@@ -294,8 +297,7 @@ class NttPimDriver:
             # rather than treating it as expected-output data.
             return self._run_ntt(values, ntt)
         program = self._program(ntt)
-        commands = program.commands
-        stream = cached_stream(commands, cfg.arch, key=program.key)
+        stream = cached_stream(program.ir, cfg.arch, key=program.key)
         schedule = cached_schedule(stream, cfg.timing, cfg.arch,
                                    cfg.pim.compute_timing(), cfg.energy,
                                    key=program.key)
@@ -316,4 +318,4 @@ class NttPimDriver:
         return NttRunResult(
             n=ntt.n, q=ntt.q, nb_buffers=cfg.pim.nb_buffers,
             output=output, schedule=schedule, verified=verified,
-            command_count=len(commands), bu_ops=bu_ops)
+            command_count=program.ir.n, bu_ops=bu_ops)

@@ -233,7 +233,7 @@ def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
     merged_key = programs_recipe_key("interleave", programs)
     if "interleave" in normalize_passes(passes):
         def merge():
-            return interleave_irs([p.commands for p in programs])
+            return interleave_irs([p.ir for p in programs])
     else:
         def merge():
             return interleave_programs([p.commands for p in programs])
@@ -257,7 +257,7 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
     compute = config.pim.compute_timing()
     schedule = cached_schedule(merged_stream, config.timing, config.arch,
                                compute, config.energy, key=merged_key)
-    single = cached_schedule(programs[0].commands, config.timing, config.arch,
+    single = cached_schedule(programs[0].ir, config.timing, config.arch,
                              compute, config.energy, key=programs[0].key)
 
     verified = False
@@ -273,7 +273,7 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
             bank = PimBank(config.arch, config.pim)
             bank.set_parameters(bspec.q)
             bank.load_polynomial(config.base_row, bspec.load_layout(values))
-            bank.run_stream(cached_stream(program.commands, config.arch,
+            bank.run_stream(cached_stream(program.ir, config.arch,
                                           key=program.key))
             bank_models.append(bank)
         bu_ops = sum(bank.cu.bu_ops for bank in bank_models)
