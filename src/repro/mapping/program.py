@@ -67,9 +67,6 @@ class ProgramBuilder:
         # One flat row per command (see the module docstring).
         self._rows: List[tuple] = []
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     # -- raw emission ---------------------------------------------------------
     def emit(self, ctype: CommandType, deps=(), *, row=None, col=None,
              buf=None, buf2=None, lane=None, omega0=None, r_omega=None,

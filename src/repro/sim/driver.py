@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 from .._cache import ArtifactCache
 from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
-from ..compile.ir import StreamIR
 from ..dram.commands import Command
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import TimingEngine
@@ -75,8 +74,8 @@ def cached_schedule(commands, timing, arch, compute, energy, key=None):
     """Memoized stream-compiled ``TimingEngine`` simulation.
 
     ``commands`` is a command sequence, a mapper-built
-    :class:`~repro.compile.ir.StreamIR` or an already-compiled
-    :class:`~repro.dram.stream.CommandStream`.  Cold lookups compile the
+    :class:`~repro.compile.ir.StreamIR` (with its ``key``) or an
+    already-compiled :class:`~repro.dram.stream.CommandStream`.  Cold lookups compile the
     program (via the shared stream cache) and run the engine's
     vectorized stream loop — bit-identical to ``simulate(commands)``.
 
@@ -85,17 +84,14 @@ def cached_schedule(commands, timing, arch, compute, energy, key=None):
     recipe over such keys) that avoids hashing thousands of commands per
     lookup; when ``None``, the command tuple itself is the key.
     """
-    stream = commands if isinstance(commands, CommandStream) else None
-    # Only materialize Command objects when no structural key exists
-    # (IR-backed programs are lazy; the timing loop never needs them).
-    if key is not None:
-        content_key = key
-    elif stream is not None:
-        content_key = stream.commands
-    elif isinstance(commands, StreamIR):
-        content_key = commands.materialize_commands()
+    if isinstance(commands, CommandStream):
+        stream = commands
+        # Only materialize Command objects when no structural key exists
+        # (IR-backed streams are lazy; the timing loop never needs them).
+        content_key = key if key is not None else tuple(commands.commands)
     else:
-        content_key = tuple(commands)
+        stream = None
+        content_key = key if key is not None else tuple(commands)
     cache_key = (content_key, timing, arch, compute, energy)
 
     def simulate():

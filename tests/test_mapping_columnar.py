@@ -259,7 +259,7 @@ class TestBuilderValidation:
         assert [c.deps for c in ir.materialize_commands()] == [
             (), (), (), (2,), (3,), ()]
         # The builder hands its rows off at build.
-        assert len(b) == 0
+        assert b._rows == []
 
 
 if __name__ == "__main__":
