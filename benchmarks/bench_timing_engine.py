@@ -4,10 +4,11 @@ Measures commands/sec of ``TimingEngine.simulate`` (the ground-truth
 per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
 stream compile cost, the cold mapping cost (the columnar mapper
-emitting its ``StreamIR``) and the end-to-end functional ``run_ntt``
-speedup of the stream-routed driver over the legacy per-command bank —
-and merges the measurements into ``BENCH_kernels.json`` at the repo
-root.
+emitting its ``StreamIR``), the end-to-end functional ``run_ntt``
+speedup of the stream-routed driver over the legacy per-command bank
+and the warm verified ``kyber_kem`` request time (golden ring-product
+check included) — and merges the measurements into
+``BENCH_kernels.json`` at the repo root.
 
 Non-gating when run directly —
 
@@ -29,6 +30,7 @@ from pathlib import Path
 
 from bench_backend_speedup import _best_of, merge_sections
 
+from repro.api import KyberKemRequest, Simulator
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
 from repro.dram import (
     HBM2E_ARCH,
@@ -109,7 +111,8 @@ def run(ns=(1024, 4096), repeats: int = 5,
         }
     compiler["nb1"] = _bench_nb1(repeats)
     results = {"timing_engine": section, "compiler": compiler,
-               "mapping": _bench_mapping(repeats)}
+               "mapping": _bench_mapping(repeats),
+               "golden": _bench_golden(4 * repeats + 1)}
     merge_sections(out_path, results)
     return results
 
@@ -142,6 +145,33 @@ def _bench_mapping(repeats: int) -> dict:
             "cold_us_per_cmd": cold_s / program.ir.n * 1e6,
         }
     return section
+
+
+def _bench_golden(repeats: int, n: int = 256, q: int = 3329,
+                  depth: int = 2) -> dict:
+    """Warm verified ``kyber_kem`` request (Kyber's ring, incomplete
+    NTT, golden ring-product check on): median wall time over
+    ``repeats`` fresh operand pairs after one warm-up request."""
+    rng = random.Random(n)
+    requests = [KyberKemRequest(a=[rng.randrange(q) for _ in range(n)],
+                                b=[rng.randrange(q) for _ in range(n)],
+                                n=n, q=q, depth=depth)
+                for _ in range(repeats + 1)]
+    sim = Simulator()
+    assert sim.run(requests[0]).verified
+    samples = []
+    for request in requests[1:]:
+        start = time.perf_counter()
+        response = sim.run(request)
+        samples.append(time.perf_counter() - start)
+        assert response.verified
+    return {"kyber_kem": {
+        "n": n,
+        "q": q,
+        "depth": depth,
+        "repeats": repeats,
+        "warm_request_ms": statistics.median(samples) * 1e3,
+    }}
 
 
 def _bench_nb1(repeats: int, n: int = 256) -> dict:
@@ -207,6 +237,10 @@ def _format(results: dict) -> str:
             f"  N={entry['n']:>5d} Nb={entry['nb']}  {entry['commands']:>6d} "
             f"cmds  {entry['cold_map_s'] * 1e3:7.1f} ms "
             f"({entry['cold_us_per_cmd']:.2f} us/cmd)")
+    kem = results["golden"]["kyber_kem"]
+    lines.append(
+        f"golden: warm verified kyber_kem N={kem['n']} depth={kem['depth']} "
+        f"{kem['warm_request_ms']:.2f} ms (median of {kem['repeats']})")
     return "\n".join(lines)
 
 
@@ -242,6 +276,7 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["compiler"]["nb1"]["fused_speedup"] > 0
     assert all(entry["cold_us_per_cmd"] > 0
                for entry in results["mapping"].values())
+    assert results["golden"]["kyber_kem"]["warm_request_ms"] > 0
 
 
 def main(argv=None) -> int:

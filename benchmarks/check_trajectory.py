@@ -14,6 +14,9 @@ committed floor:
   run must not be slower than the per-command fallback it replaced;
 * mapping: the columnar mapper's cold program generation must stay
   below ``MAPPING_US_PER_CMD_CEILING`` on every benched shape;
+* golden: a warm verified ``kyber_kem`` request (N=256, depth 2) must
+  stay below ``KEM_REQUEST_MS_CEILING`` — the golden ring-product check
+  must not fall back to a quadratic loop;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -63,6 +66,11 @@ COMPILE_US_PER_CMD_CEILING = 2.3
 #: measures ~3 us/command cold; the Command-dataclass mapper it
 #: replaced measured ~15 us/command.
 MAPPING_US_PER_CMD_CEILING = 6.0
+#: A warm verified ``kyber_kem`` request (N=256, depth 2) measures
+#: ~5.8 ms on a 2-vCPU Xeon host with the Kronecker-substitution oracle
+#: and per-shape twiddle tables; with a quadratic double-loop oracle and
+#: per-call twiddles it measured ~20 ms on the same host.
+KEM_REQUEST_MS_CEILING = 8.0
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
 #: (measured ~4x faster).
@@ -256,6 +264,15 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"mapping {shape}: cold mapping "
                 f"{entry['cold_us_per_cmd']:.2f} us/cmd exceeds the "
                 f"{MAPPING_US_PER_CMD_CEILING} us/cmd ceiling")
+
+    for name, entry in kernels.get("golden", {}).items():
+        print(f"golden: warm {name} N={entry['n']} depth={entry['depth']} "
+              f"{entry['warm_request_ms']:.2f} ms (ceiling "
+              f"{KEM_REQUEST_MS_CEILING} ms)")
+        if entry["warm_request_ms"] > KEM_REQUEST_MS_CEILING:
+            failures.append(
+                f"golden {name}: warm request {entry['warm_request_ms']:.2f} "
+                f"ms exceeds the {KEM_REQUEST_MS_CEILING} ms ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

@@ -326,9 +326,9 @@ class KyberKemRequest(SimRequest):
 
     def validate(self) -> None:
         # Lazy: repro.ntt sits above this module's import layer.
-        from ..ntt.incomplete import IncompleteNttParams
+        from ..ntt.incomplete import incomplete_params
         try:
-            IncompleteNttParams(self.n, self.q, self.depth)
+            incomplete_params(self.n, self.q, self.depth)
         except ValueError as exc:
             raise RequestValidationError(str(exc)) from None
         for label, operand in (("a", self.a), ("b", self.b)):

@@ -292,14 +292,14 @@ def run_kyber_kem_workload(config: SimConfig,
     # Lazy imports, same one-way layering reason as the FHE handler.
     from ..arith.roots import NttParams
     from ..ntt.incomplete import (
-        IncompleteNttParams,
         incomplete_basemul,
         incomplete_intt,
         incomplete_ntt,
+        incomplete_params,
     )
     from .simulator import Simulator
 
-    params = IncompleteNttParams(request.n, request.q, request.depth)
+    params = incomplete_params(request.n, request.q, request.depth)
     a, b = list(request.a), list(request.b)
     a_hat = incomplete_ntt(a, params)
     b_hat = incomplete_ntt(b, params)

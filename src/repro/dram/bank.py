@@ -117,7 +117,7 @@ class BankStorage:
         """Direct array read, bypassing timing."""
         if self._open_row is not None:
             raise MappingError("host access while a row is open")
-        return [int(v) for v in self._cells[row, start_word:start_word + count]]
+        return self._cells[row, start_word:start_word + count].tolist()
 
     def host_write_polynomial(self, base_row: int, values: List[int]) -> None:
         """Lay a polynomial out contiguously starting at ``base_row``."""

@@ -7,6 +7,7 @@ from .incomplete import (
     incomplete_basemul,
     incomplete_intt,
     incomplete_ntt,
+    incomplete_params,
 )
 from .merged import (
     block_zeta,
@@ -51,6 +52,7 @@ __all__ = [
     "incomplete_basemul",
     "incomplete_intt",
     "incomplete_ntt",
+    "incomplete_params",
     "block_zeta",
     "block_zeta_exponent",
     "merged_negacyclic_intt",

@@ -14,14 +14,15 @@ products are short vector ops the CU can also host.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 from ..arith.modmath import mod_inverse, mod_pow
 from ..arith.roots import is_primitive_root_of_unity, root_of_unity
 from .merged import block_zeta_exponent
 
-__all__ = ["IncompleteNttParams", "incomplete_ntt", "incomplete_intt",
-           "incomplete_basemul"]
+__all__ = ["IncompleteNttParams", "incomplete_params", "incomplete_ntt",
+           "incomplete_intt", "incomplete_basemul"]
 
 
 class IncompleteNttParams:
@@ -29,7 +30,10 @@ class IncompleteNttParams:
     stages, leaving slots of ``depth`` coefficients.
 
     Requires a primitive ``2N/depth``-th root of unity; ``depth = 1``
-    recovers the full merged transform.
+    recovers the full merged transform.  Every block twiddle the
+    transforms touch is tabulated once, here: ``forward_zetas[length]``
+    holds the zeta of each stride-``length`` block in start order
+    (block ``start // (2 * length)``), ``inverse_zetas`` their inverses.
     """
 
     def __init__(self, n: int, q: int, depth: int):
@@ -49,14 +53,27 @@ class IncompleteNttParams:
         #: psi^depth (an order-2N/depth element) need exist.
         self.psi_effective = root_of_unity(order, q)
         assert is_primitive_root_of_unity(self.psi_effective, order, q)
-
-    def _zeta(self, length: int, start: int, invert: bool = False) -> int:
-        exp = block_zeta_exponent(self.n, length, start)
-        if exp % self.depth:
-            raise AssertionError("truncated stage touched a deep zeta")
-        root = (mod_inverse(self.psi_effective, self.q) if invert
-                else self.psi_effective)
-        return mod_pow(root, exp // self.depth, self.q)
+        psi_inv = mod_inverse(self.psi_effective, q)
+        self.forward_zetas: Dict[int, Tuple[int, ...]] = {}
+        self.inverse_zetas: Dict[int, Tuple[int, ...]] = {}
+        length = n // 2
+        while length >= depth:
+            exps = [block_zeta_exponent(n, length, start)
+                    for start in range(0, n, 2 * length)]
+            if any(exp % depth for exp in exps):
+                raise AssertionError("truncated stage touched a deep zeta")
+            self.forward_zetas[length] = tuple(
+                mod_pow(self.psi_effective, exp // depth, q) for exp in exps)
+            self.inverse_zetas[length] = tuple(
+                mod_pow(psi_inv, exp // depth, q) for exp in exps)
+            length >>= 1
+        #: ``X^depth = zeta`` per base-case slot (see :meth:`slot_zeta`).
+        last = self.forward_zetas[depth]
+        self.slot_zetas = tuple(
+            last[slot // 2] if slot % 2 == 0 else (q - last[slot // 2]) % q
+            for slot in range(n // depth))
+        #: The inverse's ``(N/depth)^-1`` scale.
+        self.scale = mod_inverse(n // depth, q)
 
     def slot_zeta(self, slot: int) -> int:
         """The ``X^depth = zeta`` constant of base-case slot ``slot``.
@@ -65,8 +82,16 @@ class IncompleteNttParams:
         executed stage split ``X^2d - z^2`` into ``X^d - z`` (even slot)
         and ``X^d + z`` (odd slot) — Kyber's ``±zetas[64+i]`` pattern.
         """
-        base = self._zeta(self.depth, (slot // 2) * 2 * self.depth)
-        return base if slot % 2 == 0 else (self.q - base) % self.q
+        return self.slot_zetas[slot]
+
+
+@lru_cache(maxsize=32)
+def incomplete_params(n: int, q: int, depth: int) -> IncompleteNttParams:
+    """The shared :class:`IncompleteNttParams` of one ``(n, q, depth)``
+    shape: its root search and twiddle tables are built once, not per
+    request, and every caller shares the instance (read-only).  Invalid
+    shapes raise ``ValueError`` (never cached)."""
+    return IncompleteNttParams(n, q, depth)
 
 
 def incomplete_ntt(values: Sequence[int],
@@ -78,8 +103,8 @@ def incomplete_ntt(values: Sequence[int],
     x = [v % q for v in values]
     length = n // 2
     while length >= params.depth:
-        for start in range(0, n, 2 * length):
-            zeta = params._zeta(length, start)
+        for block, zeta in enumerate(params.forward_zetas[length]):
+            start = 2 * length * block
             for j in range(start, start + length):
                 t = (zeta * x[j + length]) % q
                 x[j + length] = (x[j] - t) % q
@@ -97,14 +122,14 @@ def incomplete_intt(values: Sequence[int],
     x = [v % q for v in values]
     length = params.depth
     while length < n:
-        for start in range(0, n, 2 * length):
-            zeta_inv = params._zeta(length, start, invert=True)
+        for block, zeta_inv in enumerate(params.inverse_zetas[length]):
+            start = 2 * length * block
             for j in range(start, start + length):
                 a, b = x[j], x[j + length]
                 x[j] = (a + b) % q
                 x[j + length] = ((a - b) * zeta_inv) % q
         length <<= 1
-    scale = mod_inverse(n // params.depth, q)
+    scale = params.scale
     return [(v * scale) % q for v in x]
 
 
@@ -116,8 +141,7 @@ def incomplete_basemul(a_hat: Sequence[int], b_hat: Sequence[int],
     if len(a_hat) != n or len(b_hat) != n:
         raise ValueError("operands must be full transform-domain vectors")
     out = [0] * n
-    for slot in range(n // d):
-        zeta = params.slot_zeta(slot)
+    for slot, zeta in enumerate(params.slot_zetas):
         base = slot * d
         for i in range(d):
             for j in range(d):

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from ..arith.modmath import mod_inverse, mod_mul_vec, mod_pow
 from ..arith.roots import NttParams, is_primitive_root_of_unity, root_of_unity
-from .reference import intt, ntt
+from .reference import _kronecker_product, intt, ntt
 
 __all__ = [
     "NegacyclicParams",
@@ -81,16 +81,12 @@ def negacyclic_convolution(a: Sequence[int], b: Sequence[int],
 
 
 def naive_negacyclic_convolution(a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
-    """Schoolbook product with ``X^N = -1`` reduction, for verification."""
+    """Schoolbook product with ``X^N = -1`` reduction, for verification:
+    the exact Kronecker-substitution product with coefficient ``i + N``
+    subtracted from ``i``.  Any length, any ``q >= 1``; operands may be
+    negative or unreduced."""
     n = len(a)
     if len(b) != n:
         raise ValueError(f"length mismatch: {n} vs {len(b)}")
-    out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            k = i + j
-            if k < n:
-                out[k] = (out[k] + a[i] * b[j]) % q
-            else:
-                out[k - n] = (out[k - n] - a[i] * b[j]) % q
-    return out
+    c = _kronecker_product(a, b, q)
+    return [(c[i] - c[i + n]) % q for i in range(n)]

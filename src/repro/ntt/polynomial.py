@@ -1,8 +1,9 @@
 """Polynomials over ``R_q = Z_q[X]/(X^N + 1)`` — the FHE data type.
 
 A thin, explicit wrapper: coefficients are a list of ints in ``[0, q)``;
-multiplication goes through the negacyclic NTT (with a schoolbook path
-for cross-checking).  The FHE layer (:mod:`repro.fhe`) builds ciphertexts
+multiplication goes through the negacyclic NTT, cross-checked by the
+exact schoolbook product (one Kronecker-substitution big-int multiply,
+no transform).  The FHE layer (:mod:`repro.fhe`) builds ciphertexts
 out of these.
 """
 
@@ -115,7 +116,8 @@ class Polynomial:
         return Polynomial([(scalar * a) % q for a in self.coefficients], self.params)
 
     def mul_schoolbook(self, other: "Polynomial") -> "Polynomial":
-        """O(N²) product — the verification path for ``__mul__``."""
+        """Transform-free exact product (Kronecker substitution) — the
+        verification path for ``__mul__``."""
         self._check_compatible(other)
         return Polynomial(
             naive_negacyclic_convolution(self.coefficients, other.coefficients,

@@ -7,10 +7,17 @@ why this is the consistent reading of the paper's Fig. 3 + Algorithms
 the PIM simulator is verified against; everything else here exists to
 cross-check it (direct O(N²) DFT, DIF variant, recursive formulation)
 and to serve software baselines.
+
+The schoolbook ring products (:func:`naive_cyclic_convolution` and
+``naive_negacyclic_convolution``) are the golden oracles the NTT paths
+are checked against.  They do no transform at all: one exact big-integer
+multiply by Kronecker substitution (:func:`_kronecker_product`), then a
+wrap of the upper half.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence
 
 from ..arith import vector
@@ -158,15 +165,54 @@ def cyclic_convolution(a: Sequence[int], b: Sequence[int], params: NttParams) ->
     return intt(prod, params)
 
 
+#: ``struct`` codes of the slot widths (bytes) packed without a per-value
+#: ``int.to_bytes``; wider slots (at N=256, moduli above ~2^28) take the
+#: generic path.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(values: List[int], width: int, code: str | None) -> int:
+    if code:
+        raw = struct.pack(f"<{len(values)}{code}", *values)
+    else:
+        raw = b"".join(v.to_bytes(width, "little") for v in values)
+    return int.from_bytes(raw, "little")
+
+
+def _kronecker_product(a: Sequence[int], b: Sequence[int],
+                       q: int) -> Sequence[int]:
+    """Coefficients ``0 .. 2n-1`` of the plain product ``(a mod q) *
+    (b mod q)`` (not reduced mod ``q``), exactly, by Kronecker
+    substitution.
+
+    Each operand is packed into one integer of ``width``-byte slots with
+    ``2^(8*width) > n*(q-1)^2`` — the largest coefficient the product can
+    have — so no slot carries into the next.  One CPython big-int
+    multiply (Karatsuba) then does the whole O(N²) sum, and the ``2n``
+    slots of the result are read back out (the last is always 0).
+    """
+    n = len(a)
+    a = [v % q for v in a]
+    b = [v % q for v in b]
+    width = max(1, ((n * (q - 1) ** 2).bit_length() + 7) // 8)
+    width = next((w for w in _SLOT_CODES if w >= width), width)
+    code = _SLOT_CODES.get(width)
+    raw = (_pack(a, width, code) * _pack(b, width, code)).to_bytes(
+        2 * n * width, "little")
+    if code:
+        return struct.unpack(f"<{2 * n}{code}", raw)
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
 def naive_cyclic_convolution(a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
-    """Schoolbook cyclic convolution, for verifying the NTT-based path."""
+    """Schoolbook cyclic convolution (``X^N = 1``), for verifying the
+    NTT-based path: the exact product of :func:`_kronecker_product` with
+    coefficient ``i + N`` folded onto ``i``."""
     n = len(a)
     if len(b) != n:
         raise ValueError(f"length mismatch: {n} vs {len(b)}")
     if not is_power_of_two(n):
         raise ValueError(f"length must be a power of two, got {n}")
-    out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            out[(i + j) % n] = (out[(i + j) % n] + a[i] * b[j]) % q
-    return out
+    c = _kronecker_product(a, b, q)
+    return [(c[i] + c[i + n]) % q for i in range(n)]
