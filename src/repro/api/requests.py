@@ -32,6 +32,7 @@ on malformed parameters before any simulation work starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import ClassVar, Optional, Tuple
 
 from ..arith.roots import NttParams
@@ -327,6 +328,13 @@ class KyberKemRequest(SimRequest):
     def validate(self) -> None:
         # Lazy: repro.ntt sits above this module's import layer.
         from ..ntt.incomplete import incomplete_params
+        # The params cache would answer 256.0 or True with the entry of
+        # 256 or 1 (equal hashes), so non-integers are refused up front.
+        for label, value in (("n", self.n), ("q", self.q),
+                             ("depth", self.depth)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise RequestValidationError(
+                    f"{label} must be an integer, got {value!r}")
         try:
             incomplete_params(self.n, self.q, self.depth)
         except ValueError as exc:

@@ -17,7 +17,6 @@ wrap of the upper half.
 
 from __future__ import annotations
 
-import struct
 from typing import List, Sequence
 
 from ..arith import vector
@@ -165,22 +164,8 @@ def cyclic_convolution(a: Sequence[int], b: Sequence[int], params: NttParams) ->
     return intt(prod, params)
 
 
-#: ``struct`` codes of the slot widths (bytes) packed without a per-value
-#: ``int.to_bytes``; wider slots (at N=256, moduli above ~2^28) take the
-#: generic path.
-_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _pack(values: List[int], width: int, code: str | None) -> int:
-    if code:
-        raw = struct.pack(f"<{len(values)}{code}", *values)
-    else:
-        raw = b"".join(v.to_bytes(width, "little") for v in values)
-    return int.from_bytes(raw, "little")
-
-
 def _kronecker_product(a: Sequence[int], b: Sequence[int],
-                       q: int) -> Sequence[int]:
+                       q: int) -> List[int]:
     """Coefficients ``0 .. 2n-1`` of the plain product ``(a mod q) *
     (b mod q)`` (not reduced mod ``q``), exactly, by Kronecker
     substitution.
@@ -192,15 +177,12 @@ def _kronecker_product(a: Sequence[int], b: Sequence[int],
     slots of the result are read back out (the last is always 0).
     """
     n = len(a)
-    a = [v % q for v in a]
-    b = [v % q for v in b]
     width = max(1, ((n * (q - 1) ** 2).bit_length() + 7) // 8)
-    width = next((w for w in _SLOT_CODES if w >= width), width)
-    code = _SLOT_CODES.get(width)
-    raw = (_pack(a, width, code) * _pack(b, width, code)).to_bytes(
-        2 * n * width, "little")
-    if code:
-        return struct.unpack(f"<{2 * n}{code}", raw)
+    packed_a, packed_b = (
+        int.from_bytes(b"".join((v % q).to_bytes(width, "little")
+                                for v in operand), "little")
+        for operand in (a, b))
+    raw = (packed_a * packed_b).to_bytes(2 * n * width, "little")
     return [int.from_bytes(raw[i:i + width], "little")
             for i in range(0, len(raw), width)]
 

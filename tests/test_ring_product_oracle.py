@@ -9,6 +9,7 @@ held against the on-the-fly formula they replaced, and the ``kyber_kem``
 handler is shown to still verify every product.
 """
 
+import dataclasses
 import importlib
 import random
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.api import KyberKemRequest, Simulator
 from repro.arith.modmath import mod_inverse, mod_pow
-from repro.errors import FunctionalMismatch
+from repro.errors import FunctionalMismatch, RequestValidationError
 from repro.ntt import (
     IncompleteNttParams,
     block_zeta_exponent,
@@ -35,8 +36,7 @@ incomplete = importlib.import_module("repro.ntt.incomplete")
 
 KYBER_Q = 3329
 #: 1, 2, 17, Kyber's prime, a 30-bit NTT prime, the Mersenne prime
-#: 2^61 - 1 and a modulus above 2^64: together they reach every packed
-#: slot width (1, 2, 4 and 8 bytes) and the generic wide-slot path.
+#: 2^61 - 1 and a modulus above 2^64: slots from 1 byte to over 16.
 MODULI = (1, 2, 17, KYBER_Q, 998244353, (1 << 61) - 1, (1 << 64) + 13)
 
 
@@ -153,6 +153,24 @@ def test_requests_of_one_shape_share_cached_params(monkeypatch):
         assert built == [(256, KYBER_Q, 2)]
         assert incomplete_params(256, KYBER_Q, 2) is incomplete_params(
             256, KYBER_Q, 2)
+    finally:
+        incomplete_params.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("field, value", [
+    ("n", 256.0), ("q", 3329.0), ("depth", 2.0), ("depth", True),
+])
+def test_non_integer_shape_rejected(field, value, warm):
+    """``256.0`` and ``True`` hash like ``256`` and ``1``: validation must
+    refuse them whether or not the integer shape is already cached."""
+    incomplete_params.cache_clear()
+    try:
+        if warm:
+            incomplete_params(256, KYBER_Q, 2)
+        request = dataclasses.replace(_kem_request(6), **{field: value})
+        with pytest.raises(RequestValidationError, match="integer"):
+            request.validate()
     finally:
         incomplete_params.cache_clear()
 
