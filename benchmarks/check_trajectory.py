@@ -67,7 +67,7 @@ COMPILE_US_PER_CMD_CEILING = 2.3
 #: replaced measured ~15 us/command.
 MAPPING_US_PER_CMD_CEILING = 6.0
 #: A warm verified ``kyber_kem`` request (N=256, depth 2) measures
-#: ~5.8 ms on a 2-vCPU Xeon host with the Kronecker-substitution oracle
+#: ~6.3 ms on a 2-vCPU Xeon host with the Kronecker-substitution oracle
 #: and per-shape twiddle tables; with a quadratic double-loop oracle and
 #: per-call twiddles it measured ~20 ms on the same host.
 KEM_REQUEST_MS_CEILING = 8.0
