@@ -5,10 +5,11 @@ per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
 stream compile cost, the cold mapping cost (the columnar mapper
 emitting its ``StreamIR``), the end-to-end functional ``run_ntt``
-speedup of the stream-routed driver over the legacy per-command bank
-and the warm verified ``kyber_kem`` request time (golden ring-product
-check included) — and merges the measurements into
-``BENCH_kernels.json`` at the repo root.
+speedup of the stream-routed driver over the legacy per-command bank,
+the warm verified ``kyber_kem`` request time (golden ring-product
+check included) and the warm verified 8-bank N=512 multi-bank dispatch
+time (lockstep banks plus the batched golden check) — and merges the
+measurements into ``BENCH_kernels.json`` at the repo root.
 
 Non-gating when run directly —
 
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from bench_backend_speedup import _best_of, merge_sections
 
-from repro.api import KyberKemRequest, Simulator
+from repro.api import KyberKemRequest, MultiBankRequest, Simulator
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
 from repro.dram import (
     HBM2E_ARCH,
@@ -112,7 +113,8 @@ def run(ns=(1024, 4096), repeats: int = 5,
     compiler["nb1"] = _bench_nb1(repeats)
     results = {"timing_engine": section, "compiler": compiler,
                "mapping": _bench_mapping(repeats),
-               "golden": _bench_golden(4 * repeats + 1)}
+               "golden": _bench_golden(4 * repeats + 1),
+               "multibank": _bench_multibank(4 * repeats + 1)}
     merge_sections(out_path, results)
     return results
 
@@ -171,6 +173,34 @@ def _bench_golden(repeats: int, n: int = 256, q: int = 3329,
         "depth": depth,
         "repeats": repeats,
         "warm_request_ms": statistics.median(samples) * 1e3,
+    }}
+
+
+def _bench_multibank(repeats: int, n: int = 512, banks: int = 8) -> dict:
+    """Warm verified multi-bank dispatch (``banks`` forward cyclic NTTs
+    of length ``n``, golden check on) — the serving layer's hot dispatch
+    shape: median wall time over ``repeats`` fresh inputs after one
+    warm-up dispatch."""
+    q = find_ntt_prime(2 * n, 32)
+    params = NttParams(n, q)
+    rng = random.Random(n)
+    requests = [MultiBankRequest(
+        params=params,
+        inputs=[[rng.randrange(q) for _ in range(n)] for _ in range(banks)])
+        for _ in range(repeats + 1)]
+    sim = Simulator()
+    assert sim.run(requests[0]).verified
+    samples = []
+    for request in requests[1:]:
+        start = time.perf_counter()
+        response = sim.run(request)
+        samples.append(time.perf_counter() - start)
+        assert response.verified
+    return {f"ntt_{banks}bank": {
+        "n": n,
+        "banks": banks,
+        "repeats": repeats,
+        "warm_dispatch_ms": statistics.median(samples) * 1e3,
     }}
 
 
@@ -241,6 +271,11 @@ def _format(results: dict) -> str:
     lines.append(
         f"golden: warm verified kyber_kem N={kem['n']} depth={kem['depth']} "
         f"{kem['warm_request_ms']:.2f} ms (median of {kem['repeats']})")
+    for entry in results["multibank"].values():
+        lines.append(
+            f"multibank: warm verified {entry['banks']}-bank N={entry['n']} "
+            f"dispatch {entry['warm_dispatch_ms']:.2f} ms "
+            f"(median of {entry['repeats']})")
     return "\n".join(lines)
 
 
@@ -277,6 +312,9 @@ def test_stream_engine_smoke(show, tmp_path):
     assert all(entry["cold_us_per_cmd"] > 0
                for entry in results["mapping"].values())
     assert results["golden"]["kyber_kem"]["warm_request_ms"] > 0
+    dispatch = results["multibank"]["ntt_8bank"]
+    assert (dispatch["n"], dispatch["banks"]) == (512, 8)
+    assert dispatch["warm_dispatch_ms"] > 0
 
 
 def main(argv=None) -> int:

@@ -47,7 +47,20 @@ def bit_reverse_indices(n: int) -> List[int]:
     return list(_indices(n))
 
 
+@lru_cache(maxsize=64)
+def _index_array(n: int):
+    import numpy as np  # only array inputs need it
+
+    return np.array(_indices(n), dtype=np.intp)
+
+
 def bit_reverse_permute(values: Sequence[T]) -> List[T]:
-    """Return ``values`` reordered by bit-reversed index (an involution)."""
+    """Return ``values`` reordered by bit-reversed index (an involution).
+
+    A NumPy array is permuted along its last axis in one gather, so a
+    ``(B, n)`` array reorders all ``B`` rows at once (and stays an array).
+    """
+    if hasattr(values, "ndim"):
+        return values[..., _index_array(values.shape[-1])]
     table = _indices(len(values))
     return [values[i] for i in table]

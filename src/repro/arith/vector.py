@@ -367,8 +367,12 @@ def clear_caches() -> None:
 def ntt_dit_bitrev(values: Sequence[int], n: int, q: int, omega: int) -> List[int]:
     """Iterative DIT Cooley-Tukey on uint64 lanes: bit-reversed input,
     natural output.  Bit-exact with
-    :func:`repro.ntt.reference.ntt_dit_bitrev_input`."""
+    :func:`repro.ntt.reference.ntt_dit_bitrev_input`.  A ``(B, n)``
+    input transforms its ``B`` rows at once (a list of rows comes back):
+    butterfly blocks never straddle rows, so the stages run on the
+    flattened lanes unchanged."""
     x = _as_lanes(values, q)
+    shape = x.shape
     powers = omega_power_array(n, q, omega)
     log_n = n.bit_length() - 1
     for s in range(1, log_n + 1):
@@ -379,8 +383,7 @@ def ntt_dit_bitrev(values: Sequence[int], n: int, q: int, omega: int) -> List[in
         t = mod_mul_arr(w[None, :], x[:, m:], q)
         x[:, :m] = mod_add_arr(a, t, q)
         x[:, m:] = mod_sub_arr(a, t, q)
-        x = x.reshape(-1)
-    return x.tolist()
+    return x.reshape(shape).tolist()
 
 
 def ntt_dif_natural(values: Sequence[int], n: int, q: int, omega: int) -> List[int]:
@@ -405,15 +408,17 @@ def merged_negacyclic_forward(values: Sequence[int], n: int, q: int,
                               psi: int) -> List[int]:
     """Forward merged-psi negacyclic NTT on uint64 lanes (natural-order
     input, NTT-domain output) — bit-exact with
-    :func:`repro.ntt.merged.merged_negacyclic_ntt`."""
+    :func:`repro.ntt.merged.merged_negacyclic_ntt`.  Like
+    :func:`ntt_dit_bitrev`, a ``(B, n)`` input transforms row-wise."""
     x = _as_lanes(values, q)
+    lead = x.shape[:-1]
     length = n // 2
     for zetas in _merged_zeta_arrays(n, q, psi, inverse=False):
-        xr = x.reshape(-1, 2 * length)
-        a = xr[:, :length].copy()
-        t = mod_mul_arr(zetas[:, None], xr[:, length:], q)
-        xr[:, :length] = mod_add_arr(a, t, q)
-        xr[:, length:] = mod_sub_arr(a, t, q)
+        xr = x.reshape(lead + (-1, 2 * length))
+        a = xr[..., :length].copy()
+        t = mod_mul_arr(zetas[:, None], xr[..., length:], q)
+        xr[..., :length] = mod_add_arr(a, t, q)
+        xr[..., length:] = mod_sub_arr(a, t, q)
         length >>= 1
     return x.tolist()
 
@@ -566,19 +571,20 @@ def c1_stack_wpack(q: int, omegas: Sequence[int], na: int):
 
 
 def c1_stack_arr(x, q: int, wpack):
-    """Stacked form of :func:`c1_atom_arr`: ``x`` is ``(k, Na)``, one
-    atom per row; ``wpack`` comes from :func:`c1_stack_wpack`."""
-    k, na = x.shape
+    """Stacked form of :func:`c1_atom_arr`: ``x`` is ``(..., k, Na)``,
+    one atom per row (leading axes, e.g. lockstep banks, share the
+    pack); ``wpack`` comes from :func:`c1_stack_wpack`."""
+    lead = x.shape[:-1]
     x = x % _u64(q)
-    log_na = na.bit_length() - 1
+    log_na = x.shape[-1].bit_length() - 1
     for s in range(1, log_na + 1):
         m = 1 << (s - 1)
         w = wpack[s - 1]
-        xr = x.reshape(k, -1, 2 * m)
-        a = xr[:, :, :m].copy()
-        t = mod_mul_arr(w[:, None, :], xr[:, :, m:], q)
-        xr[:, :, :m] = mod_add_arr(a, t, q)
-        xr[:, :, m:] = mod_sub_arr(a, t, q)
+        xr = x.reshape(lead + (-1, 2 * m))
+        a = xr[..., :m].copy()
+        t = mod_mul_arr(w[:, None, :], xr[..., m:], q)
+        xr[..., :m] = mod_add_arr(a, t, q)
+        xr[..., m:] = mod_sub_arr(a, t, q)
     return x
 
 
@@ -593,7 +599,8 @@ def c2_stack_wpack(q: int, omega0s: Sequence[int], r_omegas: Sequence[int],
 def c2_stack_arr(p, s, q: int, w, gs: bool = False):
     """Stacked form of :func:`c2_atom_arr`: ``p``/``s``/``w`` are
     ``(k, Na)`` — the P legs, S legs and lane twiddles of ``k`` fused
-    C2 commands."""
+    C2 commands (``p``/``s`` may carry leading axes ``w`` broadcasts
+    over)."""
     q_u64 = _u64(q)
     p = p % q_u64
     s = s % q_u64
@@ -616,11 +623,13 @@ def c1n_stack_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
 
 
 def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
-    """Stacked form of :func:`c1n_atom_arr`: ``x`` is ``(k, Na)``,
-    ``z2d`` the matching zeta matrix from :func:`c1n_stack_zpack`.
-    Zeta consumption order per row matches the per-atom kernel."""
-    k, na = x.shape
+    """Stacked form of :func:`c1n_atom_arr`: ``x`` is ``(..., k, Na)``,
+    ``z2d`` the matching ``(k, Na-1)`` zeta matrix from
+    :func:`c1n_stack_zpack`, shared by the leading axes.  Zeta
+    consumption order per row matches the per-atom kernel."""
+    lead = x.shape[:-1]
     x = x % _u64(q)
+    na = x.shape[-1]
     log_na = na.bit_length() - 1
     lengths = ([na >> s for s in range(1, log_na + 1)] if not gs
                else [1 << s for s in range(log_na)])
@@ -629,17 +638,17 @@ def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
         blocks = na // (2 * length)
         z = z2d[:, idx:idx + blocks]
         idx += blocks
-        xr = x.reshape(k, blocks, 2 * length)
-        a = xr[:, :, :length].copy()
+        xr = x.reshape(lead + (blocks, 2 * length))
+        a = xr[..., :length].copy()
         if gs:
-            b = xr[:, :, length:].copy()
-            xr[:, :, :length] = mod_add_arr(a, b, q)
-            xr[:, :, length:] = mod_mul_arr(mod_sub_arr(a, b, q),
-                                            z[:, :, None], q)
+            b = xr[..., length:].copy()
+            xr[..., :length] = mod_add_arr(a, b, q)
+            xr[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q),
+                                           z[:, :, None], q)
         else:
-            t = mod_mul_arr(z[:, :, None], xr[:, :, length:], q)
-            xr[:, :, :length] = mod_add_arr(a, t, q)
-            xr[:, :, length:] = mod_sub_arr(a, t, q)
+            t = mod_mul_arr(z[:, :, None], xr[..., length:], q)
+            xr[..., :length] = mod_add_arr(a, t, q)
+            xr[..., length:] = mod_sub_arr(a, t, q)
     return x
 
 
@@ -647,15 +656,18 @@ def merged_negacyclic_inverse(values: Sequence[int], n: int, q: int,
                               psi: int) -> List[int]:
     """Inverse merged transform on uint64 lanes, *including* the final
     1/N scale — bit-exact with
-    :func:`repro.ntt.merged.merged_negacyclic_intt`."""
+    :func:`repro.ntt.merged.merged_negacyclic_intt` (row-wise on a
+    ``(B, n)`` input)."""
     x = _as_lanes(values, q)
+    lead = x.shape[:-1]
     length = 1
     for zetas in _merged_zeta_arrays(n, q, psi, inverse=True):
-        xr = x.reshape(-1, 2 * length)
-        a = xr[:, :length].copy()
-        b = xr[:, length:].copy()
-        xr[:, :length] = mod_add_arr(a, b, q)
-        xr[:, length:] = mod_mul_arr(mod_sub_arr(a, b, q), zetas[:, None], q)
+        xr = x.reshape(lead + (-1, 2 * length))
+        a = xr[..., :length].copy()
+        b = xr[..., length:].copy()
+        xr[..., :length] = mod_add_arr(a, b, q)
+        xr[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), zetas[:, None],
+                                       q)
         length <<= 1
     n_inv = pow(n, -1, q)
     return mod_mul_arr(x, np.uint64(n_inv), q).tolist()

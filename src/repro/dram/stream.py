@@ -114,7 +114,8 @@ class CommandStream:
         # The source IR and the pass pipeline's statistics.
         self.ir = ir
         self.pass_stats: dict = pass_stats or {}
-        # Per-(op, modulus) twiddle-pack cache filled in by the executor.
+        # Per-(op, modulus) twiddle-pack cache filled in by the executor
+        # (plus the multi-bank path's row window, under "row_window").
         self.fuse_cache: dict = {}
 
     @property

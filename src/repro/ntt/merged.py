@@ -26,6 +26,7 @@ from ..arith import vector
 from ..arith.bitrev import bit_reverse
 from ..arith.modmath import mod_inverse, mod_mul_vec, mod_pow
 from .negacyclic import NegacyclicParams
+from .reference import coefficient_count, is_batch
 
 __all__ = [
     "block_zeta_exponent",
@@ -59,13 +60,17 @@ def merged_negacyclic_ntt(values: Sequence[int],
     """Forward merged transform: natural-order input, NTT-domain output.
 
     CT butterfly ``(a + zeta*b, a - zeta*b)`` with stride halving each
-    stage; one zeta per block.
+    stage; one zeta per block.  A ``(B, N)`` array transforms its rows
+    in one batched pass and returns a list of rows.
     """
     n, q = params.n, params.q
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
+    if coefficient_count(values) != n:
+        raise ValueError(
+            f"expected {n} values, got {coefficient_count(values)}")
     if vector.numpy_active(q):
         return vector.merged_negacyclic_forward(values, n, q, params.psi)
+    if is_batch(values):
+        return [merged_negacyclic_ntt(row, params) for row in values.tolist()]
     x = [v % q for v in values]
     length = n // 2
     while length >= 1:
@@ -84,13 +89,17 @@ def merged_negacyclic_intt(values: Sequence[int],
     """Inverse merged transform: NTT-domain input, natural-order output.
 
     GS butterfly ``(a + b, (a - b) * zeta^-1)`` with stride doubling,
-    using each block's inverse zeta, then a 1/N scale.
+    using each block's inverse zeta, then a 1/N scale.  Batched over the
+    rows of a ``(B, N)`` array like :func:`merged_negacyclic_ntt`.
     """
     n, q = params.n, params.q
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
+    if coefficient_count(values) != n:
+        raise ValueError(
+            f"expected {n} values, got {coefficient_count(values)}")
     if vector.numpy_active(q):
         return vector.merged_negacyclic_inverse(values, n, q, params.psi)
+    if is_batch(values):
+        return [merged_negacyclic_intt(row, params) for row in values.tolist()]
     x = [v % q for v in values]
     psi_inv = params.psi_inv
     length = 1

@@ -36,9 +36,21 @@ __all__ = [
 ]
 
 
+def is_batch(values) -> bool:
+    """True for a ``(B, N)`` array: ``B`` transforms along a leading axis."""
+    return getattr(values, "ndim", 1) == 2
+
+
+def coefficient_count(values) -> int:
+    """Transform length of ``values`` (the last axis of an array)."""
+    return values.shape[-1] if hasattr(values, "ndim") else len(values)
+
+
 def _check_input(values: Sequence[int], params: NttParams) -> List[int]:
     if len(values) != params.n:
         raise ValueError(f"expected {params.n} coefficients, got {len(values)}")
+    if vector.is_array(values):
+        values = values.tolist()  # exact Python ints for the scalar path
     return [v % params.q for v in values]
 
 
@@ -66,10 +78,13 @@ def ntt_dit_bitrev_input(values: Sequence[int], params: NttParams) -> List[int]:
     exact pattern the hardware TFG generates from ``(omega0, r_omega)``.
     """
     n, q, omega = params.n, params.q, params.omega
-    if len(values) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(values)}")
+    if coefficient_count(values) != n:
+        raise ValueError(
+            f"expected {n} coefficients, got {coefficient_count(values)}")
     if vector.numpy_active(q):
         return vector.ntt_dit_bitrev(values, n, q, omega)
+    if is_batch(values):
+        return [ntt_dit_bitrev_input(row, params) for row in values.tolist()]
     x = _check_input(values, params)
     log_n = params.log_n
     for s in range(1, log_n + 1):
@@ -113,16 +128,31 @@ def ntt_dif_natural_input(values: Sequence[int], params: NttParams) -> List[int]
     return x
 
 
+def _host_order(values):
+    """``values`` as :func:`bit_reverse_permute` takes them (arrays
+    stay arrays, so a batch permutes in one gather)."""
+    return values if hasattr(values, "ndim") else list(values)
+
+
 def ntt(values: Sequence[int], params: NttParams) -> List[int]:
     """Natural-order forward NTT (software does the bit reversal, as in
-    the paper's host-side assumption)."""
-    return ntt_dit_bitrev_input(bit_reverse_permute(list(values)), params)
+    the paper's host-side assumption).
+
+    A ``(B, N)`` array runs ``B`` transforms as one batched pass and
+    returns a list of ``B`` rows (the multi-bank golden check).
+    """
+    return ntt_dit_bitrev_input(bit_reverse_permute(_host_order(values)),
+                                params)
 
 
 def intt(values: Sequence[int], params: NttParams) -> List[int]:
-    """Natural-order inverse NTT, including the ``1/N`` scaling."""
+    """Natural-order inverse NTT, including the ``1/N`` scaling; batched
+    over the rows of a ``(B, N)`` array like :func:`ntt`."""
     inv = params.inverse()
-    y = ntt_dit_bitrev_input(bit_reverse_permute(list(values)), inv)
+    y = ntt_dit_bitrev_input(bit_reverse_permute(_host_order(values)), inv)
+    if is_batch(values) and not vector.numpy_active(params.q):
+        return [mod_scale_vec(row, params.n_inv, params.q) for row in y]
+    # The lane path scales a list of rows in one call.
     return mod_scale_vec(y, params.n_inv, params.q)
 
 

@@ -4,11 +4,16 @@ This is the functional half of the simulator.  The driver feeds the same
 command list to this class (for data) and to the timing engine (for
 cycles) — mirroring the paper's two-way coupling between their Python
 front-end and DRAMsim3 (Sec. VI.A, footnote 1).
+
+A bank built with ``banks=B`` stacks ``B`` banks that run the same
+program in lockstep — the multi-bank deployment, where every bank
+decodes the same commands off the shared bus.  One walk of the pooled
+plan then executes all ``B`` data sets at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +31,21 @@ __all__ = ["PimBank"]
 
 
 class PimBank:
-    """One bank with the paper's datapath extensions (Fig. 2 left)."""
+    """One bank with the paper's datapath extensions (Fig. 2 left).
 
-    def __init__(self, arch: ArchParams, pim: PimParams):
+    ``banks=B`` makes it ``B`` lockstep banks on a leading axis (see
+    :class:`~repro.dram.bank.BankStorage`; host I/O then moves ``(B,
+    n)`` arrays) and ``rows=(lo, hi)`` allocates only that row window.
+    The CU counters sum over the stacked banks.
+    """
+
+    def __init__(self, arch: ArchParams, pim: PimParams,
+                 banks: Optional[int] = None,
+                 rows: Optional[Tuple[int, int]] = None):
         self.arch = arch
         self.pim = pim
-        self.storage = BankStorage(arch)
+        self.storage = BankStorage(arch, banks, rows)
+        self.banks = self.storage.banks
         self.buffers = AtomBufferFile(pim.nb_buffers, arch.words_per_atom)
         self.cu = ComputeUnit(arch.words_per_atom, pim.use_montgomery)
         self.pending_q: int | None = None
@@ -158,6 +172,8 @@ class PimBank:
 
     def run(self, commands: Sequence[Command]) -> None:
         """Apply a whole program in order (the ground-truth path)."""
+        if self.banks > 1:
+            raise MappingError("per-command execution drives one bank")
         dispatch = self._dispatch
         for cmd in commands:
             dispatch[cmd.ctype](cmd)
@@ -187,6 +203,14 @@ class PimBank:
                          or vector.lanes_supported(self.cu.q)))
         return self.cu.q is not None and vector.lanes_supported(self.cu.q)
 
+    def lockstep_ok(self, stream: CommandStream) -> bool:
+        """True when :meth:`run_stream` executes ``stream`` across the
+        bank axis: a pooled atom-mode plan the lane kernels cover.  A
+        stacked bank runs nothing else; such programs run one bank at a
+        time."""
+        return (self._stream_fusable(stream) and stream.plan.mode == "atom"
+                and stream.plan.pooled)
+
     def run_stream(self, stream: CommandStream) -> None:
         """Apply a compiled program via its fused macro-ops.
 
@@ -198,9 +222,13 @@ class PimBank:
         as stacked lane butterflies.  Data results, CU µ-op counters
         and raised errors are identical to :meth:`run` on
         ``stream.commands``; programs without a plan (or moduli outside
-        the lane kernels) fall back to that loop.
+        the lane kernels) fall back to that loop.  A stacked bank runs
+        the pooled plan once for all its banks (see :meth:`lockstep_ok`).
         """
         plan = stream.plan
+        if self.banks > 1 and not self.lockstep_ok(stream):
+            raise MappingError(
+                "stacked banks run pooled atom-mode plans only")
         if not self._stream_fusable(stream):
             self.run(stream.commands)
             return
@@ -211,28 +239,37 @@ class PimBank:
         else:
             self._run_unpooled_plan(stream)
 
+    def _plan_cells(self):
+        """The cell view plan gathers/scatters index, and a function
+        rebasing a plan's absolute row array into the row window."""
+        row0 = self.storage.row0
+        return (self.storage.atoms_view(),
+                (lambda rows: rows - row0) if row0 else (lambda rows: rows))
+
     def _run_pooled_plan(self, stream: CommandStream) -> None:
         """Atom-mode plan with the pooling pass on: all virtual buffer
-        versions live in one ``(n_virtual, Na)`` array, so group results
-        scatter straight into the pool — no per-row ``np.stack``."""
+        versions live in one ``(banks, n_virtual, Na)`` array, so group
+        results scatter straight into the pool — no per-row
+        ``np.stack``.  Every op acts on all stacked banks at once: the
+        CU kernels see ``(banks, k, Na)`` and share one twiddle pack."""
         plan = stream.plan
-        cells = self.storage.atoms_view()
+        cells, rebase = self._plan_cells()
         buffers = self.buffers
         cu = self.cu
         fuse_cache = stream.fuse_cache
         na = self.arch.words_per_atom
-        pool = np.empty((plan.n_virtual, na), dtype=np.uint64)
+        pool = np.empty((self.banks, plan.n_virtual, na), dtype=np.uint64)
         for buf, vid in plan.init_versions:
-            pool[vid] = buffers.peek_array(buf)
+            pool[:, vid] = buffers.peek_array(buf)
 
         for index, op in enumerate(plan.ops):
             kind = op[0]
             if kind == "read":
                 _, rows_a, cols_a, vouts = op
-                pool[vouts] = cells[rows_a, cols_a]
+                pool[:, vouts] = cells[:, rebase(rows_a), cols_a]
             elif kind == "write":
                 _, rows_a, cols_a, vins = op
-                cells[rows_a, cols_a] = pool[vins]
+                cells[:, rebase(rows_a), cols_a] = pool[:, vins]
             elif kind == "c2":
                 _, pins, sins, pouts, souts, omega0s, r_omegas, gs = op
                 cache_key = (index, cu._require_modulus())
@@ -240,10 +277,10 @@ class PimBank:
                 if w2d is None:
                     w2d = fuse_cache[cache_key] = vector.c2_stack_wpack(
                         cache_key[1], omega0s, r_omegas, na)
-                p_out, s_out = cu.execute_c2_stack(pool[pins], pool[sins],
-                                                   w2d, gs=gs)
-                pool[pouts] = p_out
-                pool[souts] = s_out
+                p_out, s_out = cu.execute_c2_stack(pool[:, pins],
+                                                   pool[:, sins], w2d, gs=gs)
+                pool[:, pouts] = p_out
+                pool[:, souts] = s_out
             elif kind == "c1":
                 _, vins, vouts, omegas = op
                 cache_key = (index, cu._require_modulus())
@@ -251,7 +288,7 @@ class PimBank:
                 if wpack is None:
                     wpack = fuse_cache[cache_key] = vector.c1_stack_wpack(
                         cache_key[1], omegas, na)
-                pool[vouts] = cu.execute_c1_stack(pool[vins], wpack)
+                pool[:, vouts] = cu.execute_c1_stack(pool[:, vins], wpack)
             elif kind == "c1n":
                 _, vins, vouts, zetas_rows, gs = op
                 cache_key = (index, cu._require_modulus())
@@ -259,14 +296,17 @@ class PimBank:
                 if z2d is None:
                     z2d = fuse_cache[cache_key] = vector.c1n_stack_zpack(
                         cache_key[1], zetas_rows)
-                pool[vouts] = cu.execute_c1n_stack(pool[vins], z2d, gs=gs)
+                pool[:, vouts] = cu.execute_c1n_stack(pool[:, vins], z2d,
+                                                      gs=gs)
             else:  # param
                 if self.pending_q is None:
                     raise MappingError("PARAM_WRITE with no staged parameters")
                 cu.set_modulus(self.pending_q)
 
+        # A stacked buffer file holds one (banks, Na) atom per buffer.
+        final = pool if self.storage.stacked else pool[0]
         for buf, vid in plan.final_versions:
-            buffers.write_array(buf, pool[vid].copy())
+            buffers.write_array(buf, final[..., vid, :].copy())
 
     def _run_lane_plan(self, stream: CommandStream) -> None:
         """Lane-mode plan (Nb=1 scalar-µ-op programs): versions are
@@ -274,7 +314,8 @@ class PimBank:
         LOAD/BU/STORE runs execute as stacked scalar ops with the exact
         per-µ-op counter semantics of the dispatch loop."""
         plan = stream.plan
-        cells = self.storage.atoms_view()
+        cells, rebase = self._plan_cells()
+        cells = cells[0]
         buffers = self.buffers
         cu = self.cu
         fuse_cache = stream.fuse_cache
@@ -311,10 +352,10 @@ class PimBank:
                 cu.store_uops += len(reg_vins)
             elif kind == "lread":
                 _, rows_a, cols_a, vouts2d = op
-                pool[vouts2d] = cells[rows_a, cols_a]
+                pool[vouts2d] = cells[rebase(rows_a), cols_a]
             elif kind == "lwrite":
                 _, rows_a, cols_a, vins2d = op
-                cells[rows_a, cols_a] = pool[vins2d]
+                cells[rebase(rows_a), cols_a] = pool[vins2d]
             elif kind == "lc1":
                 _, vins2d, vouts2d, omegas = op
                 cache_key = (index, cu._require_modulus())
@@ -338,7 +379,8 @@ class PimBank:
         are separate arrays stacked per group (the pre-pooling executor,
         kept as the toggled-off ground truth)."""
         plan = stream.plan
-        cells = self.storage.atoms_view()
+        cells, rebase = self._plan_cells()
+        cells = cells[0]
         buffers = self.buffers
         cu = self.cu
         fuse_cache = stream.fuse_cache
@@ -351,12 +393,13 @@ class PimBank:
             kind = op[0]
             if kind == "read":
                 _, rows_a, cols_a, vouts = op
-                atoms = cells[rows_a, cols_a]  # (k, Na) gather copy
+                atoms = cells[rebase(rows_a), cols_a]  # (k, Na) gather copy
                 for j, vid in enumerate(vouts):
                     vals[vid] = atoms[j]
             elif kind == "write":
                 _, rows_a, cols_a, vins = op
-                cells[rows_a, cols_a] = np.stack([vals[v] for v in vins])
+                cells[rebase(rows_a), cols_a] = np.stack(
+                    [vals[v] for v in vins])
             elif kind == "c2":
                 _, pins, sins, pouts, souts, omega0s, r_omegas, gs = op
                 cache_key = (index, cu._require_modulus())
@@ -406,9 +449,11 @@ class PimBank:
 
     # -- host data path -------------------------------------------------------
     def load_polynomial(self, base_row: int, values: List[int]) -> None:
-        """Host writes the (already bit-reversed) input into the bank."""
+        """Host writes the (already bit-reversed) input into the bank; a
+        stacked bank takes one ``(banks, n)`` array for all its banks."""
         self.storage.host_write_polynomial(base_row, values)
 
     def read_polynomial(self, base_row: int, length: int) -> List[int]:
-        """Host reads the NTT result back."""
+        """Host reads the NTT result back (a ``(banks, length)`` array
+        from a stacked bank)."""
         return self.storage.host_read_polynomial(base_row, length)

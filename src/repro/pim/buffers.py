@@ -69,11 +69,12 @@ class AtomBufferFile:
 
     def write_array(self, index: int, words: np.ndarray) -> None:
         """Array form of :meth:`write`; takes ownership of ``words``
-        (callers pass fresh arrays, never views into live storage)."""
+        (callers pass fresh arrays, never views into live storage).  A
+        stacked bank's buffers hold one ``(banks, Na)`` atom each."""
         self._check(index)
-        if len(words) != self.atom_words:
-            raise MappingError(
-                f"buffer write needs {self.atom_words} words, got {len(words)}")
+        if words.shape[-1] != self.atom_words:
+            raise MappingError(f"buffer write needs {self.atom_words} "
+                               f"words, got {words.shape[-1]}")
         self._data[index] = words
 
     def read_lane(self, index: int, lane: int) -> int:

@@ -218,15 +218,16 @@ class ComputeUnit:
     # One call runs a whole fused group of k same-type commands on
     # (k, Na) arrays via the stacked repro.arith.vector kernels —
     # bit-identical to k per-atom calls, with the µ-op counters advanced
-    # by exactly k times the per-command numpy-path amounts.  Callers
-    # (PimBank.run_stream) only take these paths when the lane kernels
-    # cover the loaded modulus.
+    # by exactly k times the per-command numpy-path amounts.  A leading
+    # bank axis ((B, k, Na), lockstep banks sharing one twiddle pack)
+    # counts B·k commands.  Callers (PimBank.run_stream) only take these
+    # paths when the lane kernels cover the loaded modulus.
 
     def execute_c1_stack(self, x2d, wpack):
         """``k`` fused C1 commands; ``wpack`` from
         :func:`repro.arith.vector.c1_stack_wpack`."""
         q = self._require_modulus()
-        k = len(x2d)
+        k = x2d.size // self.atom_words
         flies = (self.atom_words // 2) * self.log_atom_words * k
         self.bu_ops += flies
         self.load_uops += 2 * flies
@@ -238,7 +239,7 @@ class ComputeUnit:
         """``k`` fused C2 commands; ``w2d`` from
         :func:`repro.arith.vector.c2_stack_wpack`."""
         q = self._require_modulus()
-        lanes = self.atom_words * len(p2d)
+        lanes = p2d.size
         self.bu_ops += lanes
         self.load_uops += 2 * lanes
         self.store_uops += 2 * lanes
@@ -249,7 +250,7 @@ class ComputeUnit:
         """``k`` fused C1N commands; ``z2d`` from
         :func:`repro.arith.vector.c1n_stack_zpack`."""
         q = self._require_modulus()
-        k = len(x2d)
+        k = x2d.size // self.atom_words
         flies = (self.atom_words // 2) * self.log_atom_words * k
         self.bu_ops += flies
         self.load_uops += 2 * flies

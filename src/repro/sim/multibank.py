@@ -13,18 +13,28 @@ staged (input permutation, host-side 1/N scale, golden reference).
 That one abstraction is what lets the serving layer's batching
 scheduler coalesce negacyclic and inverse traffic exactly like forward
 cyclic NTTs.
+
+Functionally the banks of one spec run in lockstep: every bank decodes
+the same per-bank program (the programs differ only in their bank
+field), so a dispatch executes each same-spec group as one stacked
+:class:`~repro.pim.bank_pim.PimBank` — one plan walk, one host load and
+read, one batched golden check — over a row window holding just the
+rows the program and its host I/O touch.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..arith import vector
 from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
 from ..dram.commands import Command
 from ..dram.engine import ScheduleResult
-from ..dram.stream import cached_stream
+from ..dram.stream import CommandStream, cached_stream
 from ..errors import FunctionalMismatch
 from ..mapping.program_cache import (
     CachedProgram,
@@ -84,23 +94,37 @@ class TransformSpec:
         return cyclic_program(ntt, config.arch, config.pim, config.base_row,
                               bank, config.mapper_options)
 
-    def load_layout(self, values: Sequence[int]) -> List[int]:
-        """Bank-resident input image (the Sec. IV.A host protocol leaves
-        cyclic inputs bit-reversed; the merged negacyclic mapping takes
-        natural order)."""
-        if self.kind == "negacyclic":
-            return [v % self.q for v in values]
-        return bit_reverse_permute(list(values))
+    def lanes(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
+        """A group's inputs as one ``(B, n)`` uint64 array: negacyclic
+        inputs reduced mod ``q`` (their bank image), cyclic ones as
+        given."""
+        if self.kind != "negacyclic":
+            return np.array(rows, dtype=np.uint64)
+        try:
+            values = np.array(rows, dtype=np.uint64)
+        except OverflowError:  # negative or >= 2**64: reduce exactly
+            return np.array([[v % self.q for v in row] for row in rows],
+                            dtype=np.uint64)
+        return values % np.uint64(self.q)
 
-    def finalize(self, output: List[int]) -> List[int]:
-        """Host-side epilogue: the inverse transforms' 1/N scale (the
-        same pass the standalone driver paths apply)."""
+    def load_layout(self, values: np.ndarray) -> np.ndarray:
+        """Bank-resident input image of :meth:`lanes` rows (the Sec. IV.A
+        host protocol leaves cyclic inputs bit-reversed; the merged
+        negacyclic mapping takes natural order)."""
+        if self.kind == "negacyclic":
+            return values
+        return bit_reverse_permute(values)
+
+    def finalize(self, output: np.ndarray) -> List[List[int]]:
+        """Host-side epilogue over read-back ``(B, n)`` rows: the inverse
+        transforms' 1/N scale (the same pass the standalone driver paths
+        apply)."""
         if not self.inverse:
-            return output
-        from ..arith.modmath import mod_scale_vec
-        n_inv = (self.params.n_inv if self.kind == "ntt"
-                 else self.cyclic_params.n_inv)
-        return mod_scale_vec(output, n_inv, self.q)
+            return output.tolist()
+        n_inv, q = self.cyclic_params.n_inv, self.q
+        if vector.numpy_active(q):
+            return vector.mod_mul_arr(output, np.uint64(n_inv), q).tolist()
+        return [[(v * n_inv) % q for v in row] for row in output.tolist()]
 
     @property
     def cyclic_params(self) -> NttParams:
@@ -108,7 +132,8 @@ class TransformSpec:
         return self.ring.cyclic if self.kind == "negacyclic" else self.params
 
     def expected(self, values: Sequence[int]) -> List[int]:
-        """Golden model of one bank's *finalized* output."""
+        """Golden model of one bank's *finalized* output, or of every row
+        of a ``(B, n)`` array in one batched pass."""
         if self.kind == "negacyclic":
             from ..ntt.merged import (
                 merged_negacyclic_intt,
@@ -242,6 +267,49 @@ def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
     return programs, merged_stream, merged_key
 
 
+def _row_window(stream: CommandStream, program: CachedProgram,
+                config: SimConfig, n: int) -> Tuple[int, int]:
+    """The ``[lo, hi)`` rows one bank's run touches: every command's row
+    plus the host load at ``base_row`` and the result read.  A pure
+    function of the compiled program, so it is computed once per stream."""
+    window = stream.fuse_cache.get("row_window")
+    if window is None:
+        span = -(-n // config.arch.words_per_row)
+        used = stream.rows[stream.rows >= 0]
+        lo = min([config.base_row, program.result_base_row]
+                 + ([int(used.min())] if used.size else []))
+        hi = max([config.base_row + span, program.result_base_row + span]
+                 + ([int(used.max()) + 1] if used.size else []))
+        window = stream.fuse_cache["row_window"] = (
+            max(lo, 0), min(hi, config.arch.rows_per_bank))
+    return window
+
+
+def _spec_groups(specs: Sequence[TransformSpec]) -> Dict[TransformSpec,
+                                                         List[int]]:
+    """Bank indices per distinct spec, in first-seen order."""
+    groups: Dict[TransformSpec, List[int]] = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault(spec, []).append(k)
+    return groups
+
+
+def _lockstep_banks(spec: TransformSpec, stream: CommandStream,
+                    window: Tuple[int, int], count: int,
+                    config: SimConfig) -> List[PimBank]:
+    """Fresh banks for ``count`` same-spec banks: one stacked bank when
+    the plan takes the bank axis, else ``count`` one-bank stacks."""
+    def fresh(banks: int) -> PimBank:
+        bank = PimBank(config.arch, config.pim, banks=banks, rows=window)
+        bank.set_parameters(spec.q)
+        return bank
+
+    bank = fresh(count)
+    if count == 1 or bank.lockstep_ok(stream):
+        return [bank]
+    return [fresh(1) for _ in range(count)]
+
+
 def _run_multibank(inputs: Sequence[Sequence[int]], spec,
                    config: SimConfig | None = None) -> MultiBankResult:
     """Run ``len(inputs)`` independent transforms, one per bank.
@@ -264,28 +332,40 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
     outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
-        # Banks are functionally independent, so each executes its own
-        # per-bank compiled stream (cached per (spec, config, bank))
-        # — equivalent to replaying the round-robin merge command by
-        # command, minus the interleaving overhead.
-        bank_models = []
-        for values, program, bspec in zip(inputs, programs, specs):
-            bank = PimBank(config.arch, config.pim)
-            bank.set_parameters(bspec.q)
-            bank.load_polynomial(config.base_row, bspec.load_layout(values))
-            bank.run_stream(cached_stream(program.ir, config.arch,
-                                          key=program.key))
-            bank_models.append(bank)
-        bu_ops = sum(bank.cu.bu_ops for bank in bank_models)
-        outputs = [bspec.finalize(
-            bank.read_polynomial(program.result_base_row, bspec.n))
-            for bank, program, bspec in zip(bank_models, programs, specs)]
-        if config.verify:
-            for values, got, bspec in zip(inputs, outputs, specs):
-                if got != bspec.expected(values):
-                    raise FunctionalMismatch(
-                        f"multi-bank {bspec.describe()} result wrong")
-            verified = True
+        # Banks are functionally independent and every bank of one spec
+        # runs the same functional plan (per-bank programs differ only in
+        # the bank field), so each spec group executes in lockstep off
+        # its first member's compiled stream — equivalent to replaying
+        # the round-robin merge command by command.
+        outputs = [None] * banks
+        for bspec, members in _spec_groups(specs).items():
+            program = programs[members[0]]
+            stream = cached_stream(program.ir, config.arch, key=program.key)
+            window = _row_window(stream, program, config, bspec.n)
+            values = bspec.lanes([inputs[k] for k in members])
+            layout = bspec.load_layout(values)
+            read = np.empty_like(layout)
+            start = 0
+            for bank in _lockstep_banks(bspec, stream, window, len(members),
+                                        config):
+                part = slice(start, start + bank.banks)
+                start = part.stop
+                bank.load_polynomial(config.base_row, layout[part])
+                bank.run_stream(stream)
+                read[part] = bank.read_polynomial(program.result_base_row,
+                                                  bspec.n)
+                bu_ops += bank.cu.bu_ops
+            rows = bspec.finalize(read)
+            if config.verify:
+                for k, got, want in zip(members, rows,
+                                        bspec.expected(values)):
+                    if got != want:
+                        raise FunctionalMismatch(
+                            f"multi-bank result wrong on bank {k} "
+                            f"({bspec.describe()})")
+            for k, row in zip(members, rows):
+                outputs[k] = row
+        verified = config.verify
 
     return MultiBankResult(banks=banks, schedule=schedule,
                            single_bank_cycles=single.total_cycles,
