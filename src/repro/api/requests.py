@@ -42,7 +42,7 @@ from ..ntt.negacyclic import NegacyclicParams
 
 __all__ = ["SimRequest", "NttRequest", "NegacyclicRequest", "BatchRequest",
            "BankSpec", "MultiBankRequest", "FheOpRequest", "ProgramRequest",
-           "KyberKemRequest"]
+           "KyberKemRequest", "inherit_range_check"]
 
 
 def _freeze(values) -> Optional[Tuple[int, ...]]:
@@ -51,6 +51,55 @@ def _freeze(values) -> Optional[Tuple[int, ...]]:
 
 def _freeze_nested(rows) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
+
+
+def _check_range(values, q: int, label: str) -> None:
+    """Refuse coefficients outside ``[0, q)``.
+
+    One ``min``/``max`` pass per row keeps the check off the per-element
+    Python path; the offending value is only searched for on failure."""
+    try:
+        ok = not values or (min(values) >= 0 and max(values) < q)
+    except TypeError:
+        ok = False
+    if not ok:
+        bad = next((v for v in values if not (isinstance(v, Integral)
+                                              and 0 <= v < q)), None)
+        raise RequestValidationError(
+            f"{label}: coefficient {bad!r} outside [0, {q})")
+
+
+#: Instance-dict mark of a request whose coefficients passed the check.
+_IN_RANGE = "_coefficients_in_range"
+
+
+def _modulus(request) -> int:
+    """``q`` of a request or bank spec, cyclic (``params``) or
+    negacyclic (``ring``)."""
+    ring = getattr(request, "ring", None)
+    return ring.q if ring is not None else request.params.q
+
+
+def _check_ranges(request: "SimRequest", rows) -> None:
+    """Range-check every ``(values, q, label)`` row of ``request``, once
+    per request object: requests are immutable, so a passed check stays
+    passed however often the serving path re-validates the request."""
+    if _IN_RANGE in request.__dict__:
+        return
+    for values, q, label in rows:
+        _check_range(values, q, label)
+    object.__setattr__(request, _IN_RANGE, True)
+
+
+def inherit_range_check(merged: "MultiBankRequest",
+                        members) -> "MultiBankRequest":
+    """Mark ``merged`` — a homogeneous group whose rows are ``members``'
+    own value rows (or zero rows) — range-checked when every member is
+    and shares its modulus."""
+    q = _modulus(merged)
+    if all(_IN_RANGE in m.__dict__ and _modulus(m) == q for m in members):
+        object.__setattr__(merged, _IN_RANGE, True)
+    return merged
 
 
 @dataclass(frozen=True)
@@ -94,9 +143,12 @@ class NttRequest(SimRequest):
     def validate(self) -> None:
         if not isinstance(self.params, NttParams):
             raise RequestValidationError("params must be an NttParams")
-        if self.values is not None and len(self.values) != self.params.n:
-            raise RequestValidationError(
-                f"expected {self.params.n} values, got {len(self.values)}")
+        if self.values is not None:
+            if len(self.values) != self.params.n:
+                raise RequestValidationError(
+                    f"expected {self.params.n} values, "
+                    f"got {len(self.values)}")
+            _check_ranges(self, ((self.values, self.params.q, "values"),))
 
 
 @dataclass(frozen=True)
@@ -115,9 +167,11 @@ class NegacyclicRequest(SimRequest):
     def validate(self) -> None:
         if not isinstance(self.ring, NegacyclicParams):
             raise RequestValidationError("ring must be a NegacyclicParams")
-        if self.values is not None and len(self.values) != self.ring.n:
-            raise RequestValidationError(
-                f"expected {self.ring.n} values, got {len(self.values)}")
+        if self.values is not None:
+            if len(self.values) != self.ring.n:
+                raise RequestValidationError(
+                    f"expected {self.ring.n} values, got {len(self.values)}")
+            _check_ranges(self, ((self.values, self.ring.q, "values"),))
 
 
 @dataclass(frozen=True)
@@ -141,6 +195,8 @@ class BatchRequest(SimRequest):
                 raise RequestValidationError(
                     f"batch element {i}: expected {self.params.n} values, "
                     f"got {len(row)}")
+        _check_ranges(self, ((row, self.params.q, f"batch element {i}")
+                             for i, row in enumerate(self.inputs)))
 
 
 @dataclass(frozen=True)
@@ -242,6 +298,9 @@ class MultiBankRequest(SimRequest):
                     raise RequestValidationError(
                         f"bank {i}: expected {spec.n} values, "
                         f"got {len(row)}")
+            _check_ranges(self, ((row, _modulus(spec), f"bank {i}")
+                                 for i, (spec, row)
+                                 in enumerate(zip(self.specs, self.inputs))))
             return
         if (self.params is None) == (self.ring is None):
             raise RequestValidationError(
@@ -256,6 +315,9 @@ class MultiBankRequest(SimRequest):
                 raise RequestValidationError(
                     f"bank {i}: expected {self.n} values, "
                     f"got {len(row)}")
+        q = _modulus(self)
+        _check_ranges(self, ((row, q, f"bank {i}")
+                             for i, row in enumerate(self.inputs)))
 
 
 @dataclass(frozen=True)
@@ -296,6 +358,9 @@ class FheOpRequest(SimRequest):
                     "multiply needs a second operand b of length n")
         elif self.b is not None:
             raise RequestValidationError(f"op {self.op!r} takes one operand")
+        operands = (("a", self.a),) + ((("b", self.b),) if self.b else ())
+        _check_ranges(self, ((values, self.ring.q, f"operand {label}")
+                             for label, values in operands))
 
 
 @dataclass(frozen=True)

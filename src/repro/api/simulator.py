@@ -24,7 +24,6 @@ banks (the Sec. VI.A deployment) before running the rest individually.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -45,9 +44,9 @@ from .requests import (
     NegacyclicRequest,
     NttRequest,
     SimRequest,
+    inherit_range_check,
 )
 from .response import SimResponse
-from .workloads import precompile_request
 
 __all__ = ["Simulator", "merge_key"]
 
@@ -109,8 +108,7 @@ class Simulator:
     # -- bulk path --------------------------------------------------------------
     def run_many(self, requests: Iterable[SimRequest], *,
                  max_banks: int = 8,
-                 group: bool = True,
-                 pipeline: bool = False) -> List[SimResponse]:
+                 group: bool = True) -> List[SimResponse]:
         """Run every request; responses come back in input order.
 
         With ``group=True`` (default), mergeable requests of the same
@@ -123,26 +121,19 @@ class Simulator:
         are the request's own per-bank share — so totals summed over
         ``run_many`` responses stay physical.
         (``metrics["group_banks"]``/``metrics["bank"]`` tell the story;
-        ``raw`` holds the full group result.)
-
-        ``pipeline=True`` overlaps the next dispatch group's compile
-        (program + stream + schedule warm-up on the thread-safe caches)
-        with the current group's execution — see :meth:`run_many_iter`,
-        the streaming form this method drains.  Off by default: the
-        overlap measures GIL-bound (see :mod:`repro.serve.workers`),
-        roughly break-even on cold caches and a small net cost warm.
+        ``raw`` holds the full group result.)  :meth:`run_many_iter` is
+        the streaming form this method drains.
         """
         reqs = list(requests)
         responses: List[Optional[SimResponse]] = [None] * len(reqs)
         for i, response in self.run_many_iter(reqs, max_banks=max_banks,
-                                              group=group, pipeline=pipeline):
+                                              group=group):
             responses[i] = response
         return responses
 
     def run_many_iter(self, requests: Iterable[SimRequest], *,
                       max_banks: int = 8,
-                      group: bool = True,
-                      pipeline: bool = False
+                      group: bool = True
                       ) -> Iterator[Tuple[int, SimResponse]]:
         """Streaming :meth:`run_many`: yield ``(index, response)`` pairs
         as each dispatch unit completes instead of barriering on the
@@ -150,15 +141,10 @@ class Simulator:
 
         Requests are first partitioned into *dispatch units* — bank
         groups of same-shape forward NTTs (up to ``max_banks`` each) and
-        pass-through singles.  Units execute in order; opting into
-        ``pipeline=True`` warms the compile side of unit *k+1* (command
-        program, compiled stream, timing schedule — all deterministic,
-        thread-safe caches) on a background thread while unit *k* runs
-        (measured roughly break-even under the GIL — see
-        :mod:`repro.serve.workers`).  Responses are identical to
-        :meth:`run` of each request alone (values bit for bit; grouped
-        units report group timing and per-bank shares, as in
-        :meth:`run_many`).
+        pass-through singles.  Units execute in order.  Responses are
+        identical to :meth:`run` of each request alone (values bit for
+        bit; grouped units report group timing and per-bank shares, as
+        in :meth:`run_many`).
         """
         reqs = list(requests)
         # Validate up front so a malformed request fails with its own
@@ -166,32 +152,14 @@ class Simulator:
         for req in reqs:
             req.validate()
         units = self._dispatch_units(reqs, max_banks=max_banks, group=group)
-
-        compile_thread: Optional[threading.Thread] = None
-        for k, (indices, merged) in enumerate(units):
-            if compile_thread is not None:
-                compile_thread.join()
-                compile_thread = None
-            if pipeline and k + 1 < len(units):
-                compile_thread = threading.Thread(
-                    target=precompile_request,
-                    args=(self.config, units[k + 1][1]),
-                    name="repro-pipelined-compile", daemon=True)
-                compile_thread.start()
-            try:
-                if len(indices) == 1:
-                    yield indices[0], self.run(merged)
-                else:
-                    grouped = self.run(merged)
-                    for slot, i in enumerate(indices):
-                        yield i, self._split_group(grouped, reqs[i], slot,
-                                                   len(indices))
-            except BaseException:
-                if compile_thread is not None:
-                    compile_thread.join()
-                raise
-        if compile_thread is not None:
-            compile_thread.join()
+        for indices, merged in units:
+            if len(indices) == 1:
+                yield indices[0], self.run(merged)
+            else:
+                grouped = self.run(merged)
+                for slot, i in enumerate(indices):
+                    yield i, self._split_group(grouped, reqs[i], slot,
+                                               len(indices))
 
     @staticmethod
     def merge_requests(requests: List[SimRequest]) -> MultiBankRequest:
@@ -206,13 +174,15 @@ class Simulator:
             n = head.params.n
             inputs = tuple(r.values if r.values is not None else (0,) * n
                            for r in requests)
-            return MultiBankRequest(params=head.params, inputs=inputs,
-                                    inverse=head.inverse)
-        n = head.ring.n
-        inputs = tuple(r.values if r.values is not None else (0,) * n
-                       for r in requests)
-        return MultiBankRequest(ring=head.ring, inputs=inputs,
-                                inverse=head.inverse)
+            merged = MultiBankRequest(params=head.params, inputs=inputs,
+                                      inverse=head.inverse)
+        else:
+            n = head.ring.n
+            inputs = tuple(r.values if r.values is not None else (0,) * n
+                           for r in requests)
+            merged = MultiBankRequest(ring=head.ring, inputs=inputs,
+                                      inverse=head.inverse)
+        return inherit_range_check(merged, requests)
 
     @staticmethod
     def merge_forward_ntts(requests: List[NttRequest]) -> MultiBankRequest:

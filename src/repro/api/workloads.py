@@ -58,13 +58,11 @@ def precompile_request(config: SimConfig, request) -> bool:
     program, compiled stream, timing schedule — without touching
     functional state.
 
-    This is the *pipelined compile* step: the streaming
-    :meth:`repro.api.Simulator.run_many_iter` and the serving layer's
-    worker pool run it for dispatch group *k+1* while group *k*
-    executes, so the real run is pure cache hits on the compile side.
-    All three caches are thread-safe, and every artifact is a pure
-    function of ``(request shape, config)``, so warming from another
-    thread cannot change any result.
+    Callers warm a request shape ahead of its timed runs (a
+    benchmark's warm-up, a server's start-up), so the real run is pure
+    cache hits on the compile side.  All three caches are thread-safe,
+    and every artifact is a pure function of ``(request shape,
+    config)``, so warming cannot change any result.
 
     Returns ``True`` if artifacts were warmed; ``False`` for workloads
     with nothing to precompile.  Mapping errors are swallowed — the

@@ -8,10 +8,10 @@ Subcommands::
                      prints program/schedule cache statistics)
     compile          compile one workload through the repro.compile
                      pass pipeline without running it (--dump-ir
-                     prints the SoA IR, --passes selects passes)
+                     prints the SoA IR)
     serve            drive synthetic open-loop traffic through the
-                     repro.serve layer (batching scheduler, shards,
-                     worker pool) and print the telemetry rollup;
+                     repro.serve layer (batching scheduler, shards)
+                     and print the telemetry rollup;
                      --cluster N serves through the repro.cluster
                      multi-replica front-end (routing, tenant quotas,
                      --watch live operator console)
@@ -141,21 +141,9 @@ def _cmd_compile(args) -> int:
               "ntt, negacyclic, batch, multibank", file=sys.stderr)
         return 2
     from .api import compile_request
-    from .compile.passes import PASS_NAMES
-
-    passes = None
-    if args.passes is not None:
-        passes = frozenset(p for p in args.passes.split(",") if p)
-        unknown = passes - set(PASS_NAMES)
-        if unknown:
-            print(f"unknown passes: {', '.join(sorted(unknown))} "
-                  f"(available: {', '.join(PASS_NAMES)})", file=sys.stderr)
-            return 2
-    compiled = compile_request(_build_request(args), _make_config(args),
-                               passes=passes)
+    compiled = compile_request(_build_request(args), _make_config(args))
     if args.dump_ir:
         print(compiled.ir.describe())
-        print(f"passes: {', '.join(compiled.passes) or '(none)'}")
         if compiled.fused:
             stats = compiled.pass_stats
             print(f"plan: mode={stats.get('mode')} "
@@ -208,8 +196,6 @@ def _cmd_serve(args) -> int:
                            window_us=args.window_us,
                            max_banks=args.max_banks,
                            num_shards=args.shards, max_depth=args.depth,
-                           workers=args.workers,
-                           pipeline=not args.no_pipeline,
                            bus=args.bus, faults=args.faults,
                            fault_seed=args.fault_seed, policy=args.policy)
     except ValueError as exc:
@@ -237,7 +223,7 @@ def _cmd_serve(args) -> int:
           f"{args.requests} requests, seed {args.seed}")
     print(f"server         : scheduler={args.scheduler} "
           f"window={args.window_us:.0f}us max_banks={args.max_banks} "
-          f"shards={args.shards} bus={args.bus} workers={args.workers}"
+          f"shards={args.shards} bus={args.bus}"
           f"{' [live submit/poll]' if args.live else ''}")
     if args.burst is not None:
         peak, start_us, duration_us = args.burst
@@ -272,8 +258,7 @@ def _serve_cluster(args, scenario, config, load) -> int:
             args.cluster, config, router=args.router, quotas=quotas,
             scheduler=args.scheduler, window_us=args.window_us,
             max_banks=args.max_banks, num_shards=args.shards,
-            max_depth=args.depth, workers=args.workers,
-            pipeline=not args.no_pipeline, bus=args.bus,
+            max_depth=args.depth, bus=args.bus,
             faults=args.faults, fault_seed=args.fault_seed,
             policy=args.policy,
             replica_faults=args.replica_faults,
@@ -393,9 +378,6 @@ def main(argv=None) -> int:
                                 "(default 4)")
     compile_p.add_argument("--dump-ir", action="store_true",
                            help="print the SoA IR column summary")
-    compile_p.add_argument("--passes", default=None,
-                           help="comma-separated pass subset (default: "
-                                "all; empty string = none)")
 
     serve_p = subs.add_parser(
         "serve", help="drive synthetic traffic through the serving layer")
@@ -427,15 +409,10 @@ def main(argv=None) -> int:
                               "shared: dispatches contend for bus slots)")
     serve_p.add_argument("--depth", type=int, default=256,
                          help="admission-control queue depth (default 256)")
-    serve_p.add_argument("--workers", choices=("inline", "thread"),
-                         default="inline",
-                         help="execution backend (default inline)")
     serve_p.add_argument("--high-priority", type=float, default=0.0,
                          help="fraction of requests at priority 1")
     serve_p.add_argument("--deadline-us", type=float, default=None,
                          help="per-request deadline in simulated us")
-    serve_p.add_argument("--no-pipeline", action="store_true",
-                         help="disable compile/execute pipelining")
     serve_p.add_argument("--no-verify", action="store_true",
                          help="skip golden-model verification per NTT")
     serve_p.add_argument("--faults", default=None,

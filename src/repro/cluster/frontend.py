@@ -59,6 +59,7 @@ from ..serve.faults import (
     make_fault_plan,
     make_replica_fault_plan,
 )
+from ..serve.intake import SessionIntake, fold_submit
 from ..serve.queueing import ServeRequest
 from ..serve.server import ServeResult
 from ..serve.telemetry import (
@@ -128,15 +129,15 @@ def derive_fault_plans(base: Optional[FaultPlan], replicas: int
             for i in range(replicas)]
 
 
-class _ClusterSession:
+class _ClusterSession(SessionIntake):
     """Front-end state of one open serving session (the cluster analog
-    of the server-side ``_Session``): id bookkeeping, the owner map,
-    and the front-door drop results."""
+    of the server-side ``_Session``, sharing its offset and id rules
+    through :class:`SessionIntake`): the owner map and the front-door
+    drop results."""
 
-    def __init__(self, offset_us: float):
-        self.offset = offset_us
+    def __init__(self, offset_us: float, next_id):
+        super().__init__(offset_us, next_id)
         self.order: List[int] = []
-        self.seen: set = set()
         #: request id -> owning replica id (throttled drops never own).
         self.owner: Dict[int, int] = {}
         #: Front-door results (throttled drops settle immediately; the
@@ -257,14 +258,8 @@ class ClusterFrontend:
         """Whether the watchdog/failover/autoscale tier is engaged."""
         return self._supervised
 
-    # -- id assignment (the server's own rule, lifted cluster-wide) --------------
-    def _assign_id(self, session: _ClusterSession, request_id: int) -> int:
-        if request_id == 0 or request_id in session.seen:
-            request_id = next(self._ids)
-            while request_id in session.seen:
-                request_id = next(self._ids)
-        session.seen.add(request_id)
-        return request_id
+    def _session(self) -> _ClusterSession:
+        return _ClusterSession(self._clock_us, lambda: next(self._ids))
 
     # -- offline entry point ------------------------------------------------------
     def serve(self, requests: Iterable[Union[ServeRequest, SimRequest]]
@@ -275,24 +270,9 @@ class ClusterFrontend:
         if self._live is not None:
             raise RuntimeError("an open submit() session is active; "
                                "drain() it before calling serve()")
-        session = _ClusterSession(self._clock_us)
+        session = self._session()
+        sreqs = session.admit_stream(requests)
         self._live = session
-        offset = session.offset
-        sreqs: List[ServeRequest] = []
-        for item in requests:
-            if not isinstance(item, ServeRequest):
-                item = ServeRequest(request=item)
-            item.request.validate()
-            changes = {}
-            if offset:
-                changes["arrival_us"] = item.arrival_us + offset
-                if item.deadline_us is not None:
-                    changes["deadline_us"] = item.deadline_us + offset
-            request_id = self._assign_id(session, item.request_id)
-            if request_id != item.request_id:
-                changes["request_id"] = request_id
-            sreqs.append(dataclasses.replace(item, **changes)
-                         if changes else item)
         for sreq in sorted(sreqs, key=lambda s: (s.arrival_us,
                                                  s.request_id)):
             self._admit(session, sreq)
@@ -309,42 +289,23 @@ class ClusterFrontend:
                tenant: str = "") -> int:
         """Admit, route and submit one request; returns its id (also
         for throttled drops, whose result is immediately pollable)."""
-        if isinstance(request, ServeRequest):
-            if (priority, deadline_us, config, request_id,
-                    tenant) != (0, None, None, 0, ""):
-                raise ValueError(
-                    "pass scheduling fields on the ServeRequest itself, "
-                    "not as submit() keywords")
-            if arrival_us is None and request.arrival_us:
-                arrival_us = request.arrival_us
-            priority = request.priority
-            deadline_us = request.deadline_us
-            config = request.config
-            request_id = request.request_id
-            tenant = request.tenant
-            request = request.request
-        request.validate()
+        sreq, arrival_us = fold_submit(
+            request, arrival_us=arrival_us, priority=priority,
+            deadline_us=deadline_us, config=config, request_id=request_id,
+            tenant=tenant)
         if self._live is None:
-            self._live = _ClusterSession(self._clock_us)
+            self._live = self._session()
         session = self._live
-        arrival = (session.offset + arrival_us if arrival_us is not None
-                   else session.now_us)
-        arrival = max(arrival, session.now_us, session.offset)
-        deadline = (session.offset + deadline_us
-                    if deadline_us is not None else None)
-        request_id = self._assign_id(session, request_id)
-        self._admit(session, ServeRequest(
-            request=request, arrival_us=arrival, priority=priority,
-            deadline_us=deadline, request_id=request_id, config=config,
-            tenant=tenant))
-        return request_id
+        sreq = session.admit_live(sreq, arrival_us, session.now_us)
+        self._admit(session, sreq)
+        return sreq.request_id
 
     def advance(self, now_us: float) -> None:
         """Idle-tick every replica to session-relative ``now_us`` —
         the cluster form of :meth:`SimServer.advance` (the operator
         console's clock source)."""
         if self._live is None:
-            self._live = _ClusterSession(self._clock_us)
+            self._live = self._session()
         session = self._live
         session.now_us = max(session.now_us, session.offset + now_us)
         if self._supervised:

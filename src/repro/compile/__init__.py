@@ -7,10 +7,11 @@ Command programs compile through a real (small) compiler pipeline:
 * :class:`StreamIR` (:mod:`repro.compile.ir`) — the SoA columnar IR,
   emitted directly by the mappers' ``ProgramBuilder`` (hand-built
   command tuples enter through ``StreamIR.from_commands``).
-* :mod:`repro.compile.passes` — buffer renaming, dependency-depth
-  grouping, lane-granular (Nb=1) renaming, group-result pooling; each
-  independently toggleable via the ``passes`` argument and
-  bit-identical to the per-command ground truth in every combination.
+* :mod:`repro.compile.passes` — validation, buffer renaming,
+  dependency-depth grouping, lane-granular (Nb=1) renaming and
+  group-result pooling, run as one fixed pipeline whose plan is
+  bit-identical to the per-command reference interpreter
+  (:meth:`repro.pim.bank_pim.PimBank.run`).
 * :mod:`repro.compile.lower` — IR -> executable
   :class:`~repro.dram.stream.CommandStream` lowering plus the
   vectorized program merges (:func:`interleave_irs`,
@@ -29,9 +30,6 @@ from __future__ import annotations
 __all__ = [
     "StreamIR",
     "FunctionalPlan",
-    "PASS_NAMES",
-    "DEFAULT_PASSES",
-    "normalize_passes",
     "build_plan",
     "compile_ir",
     "interleave_irs",
@@ -43,9 +41,6 @@ __all__ = [
 _EXPORTS = {
     "StreamIR": ("ir", "StreamIR"),
     "FunctionalPlan": ("plan", "FunctionalPlan"),
-    "PASS_NAMES": ("passes", "PASS_NAMES"),
-    "DEFAULT_PASSES": ("passes", "DEFAULT_PASSES"),
-    "normalize_passes": ("passes", "normalize_passes"),
     "build_plan": ("passes", "build_plan"),
     "compile_ir": ("lower", "compile_ir"),
     "interleave_irs": ("lower", "interleave_irs"),

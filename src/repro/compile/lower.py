@@ -10,12 +10,12 @@ SoA columns, not from per-command attribute walks.
 
 :func:`interleave_irs` and :func:`concat_irs` are the merge passes: the
 round-robin multi-bank interleave and the back-to-back batch concat,
-reimplemented as index permutations over the concatenated columns (the
-legacy per-command list merges in :mod:`repro.sim.multibank` /
-:mod:`repro.sim.batch` remain as the toggled-off ground truth).  Merged
-IRs carry a provenance recipe over their source IRs instead of
-``Command`` objects, so a cold merge of mapper-built programs never
-constructs one; only the legacy fallback paths ever materialize them.
+implemented as index permutations over the concatenated columns (the
+per-command list merges in :mod:`repro.sim.multibank` /
+:mod:`repro.sim.batch` remain as test references).  Merged IRs carry a
+provenance recipe over their source IRs instead of ``Command`` objects,
+so a cold merge of mapper-built programs never constructs one; only the
+per-command fallback path ever materializes them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..dram.commands import CODE_CTYPES, CTYPE_CODES, CommandType
 from ..dram.stream import CommandStream
 from ..dram.timing import ArchParams
 from .ir import StreamIR
-from .passes import build_plan, normalize_passes
+from .passes import build_plan
 
 __all__ = ["compile_ir", "interleave_irs", "concat_irs"]
 
@@ -43,11 +43,10 @@ _WRITE_LIKE_BY_CODE = np.array([ct.is_write_like for ct in CODE_CTYPES],
 _CODE_PARAM = CTYPE_CODES[CommandType.PARAM_WRITE]
 
 
-def compile_ir(ir: StreamIR, arch: ArchParams, passes=None) -> CommandStream:
+def compile_ir(ir: StreamIR, arch: ArchParams) -> CommandStream:
     """Pass pipeline + lowering: one IR -> one executable stream."""
-    passes = normalize_passes(passes)
     t0 = time.perf_counter()
-    plan, reason, stats = build_plan(ir, arch, passes)
+    plan, reason, stats = build_plan(ir, arch)
     t1 = time.perf_counter()
 
     n = ir.n

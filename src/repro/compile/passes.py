@@ -3,32 +3,29 @@
 The pipeline replaces the old per-command ``_build_plan`` Python loop
 with NumPy computations over the SoA columns:
 
-* **validate** (always on) — symbolic open-row protocol, address
-  bounds and payload checks, reporting the *first* violating command
-  with the same fallback reason the legacy loop produced.
+* **validate** — symbolic open-row protocol, address bounds and payload
+  checks, reporting the *first* violating command with the same
+  fallback reason the per-command loop produces.
 * **rename** — buffer renaming: every buffer write allocates a fresh
   virtual version (register renaming), erasing WAR/WAW hazards so
-  whole stages fuse.  Toggled off, the program executes through the
-  legacy per-command loop.
+  whole stages fuse.
 * **group** — dependency-depth grouping: longest-path levels over the
   vectorized hazard-edge graph (atom RAW/WAR/WAW chains, buffer-version
   RAW chains, modulus-register chains), computed by a frontier Kahn
-  sweep.  Toggled off, every command becomes its own single-member
-  group in program order (renaming and pooling still apply).
+  sweep.
 * **lane_fuse** — lane-granular renaming for programs with scalar
   µ-ops (the Nb=1 single-buffer mapping): buffer *lanes* and the CU's
   scalar register rename individually, LOAD/BU/STORE_SCALAR group into
   stacked lane copies and butterflies instead of forcing the whole
-  program onto the per-command path.
+  program onto the per-command path.  Scalar programs that also carry
+  C2 or C1N compute ops stay on that path.
 * **pool** — group-result pooling: plan ops carry ``np.intp`` index
   arrays into one shared ``(n_virtual, Na)`` value pool, so the
-  executor gathers/scatters entire groups without the per-row
-  ``np.stack``.  Toggled off, ops keep the legacy list-of-versions
-  payloads (and scalar-µ-op programs fall back, as lane fusion builds
-  pooled plans only).
+  executor gathers/scatters entire groups without a per-row
+  ``np.stack``.
 
-Every pass combination is bit-identical to the legacy engine — the
-levels need not match the historical depth assignment command for
+The plan is bit-identical to the per-command reference interpreter —
+the levels need not match the historical depth assignment command for
 command, because any topological leveling executes the same data flow;
 the equivalence tests assert values, µ-op counters and energy against
 :meth:`repro.pim.bank_pim.PimBank.run`.
@@ -45,12 +42,7 @@ from ..dram.timing import ArchParams
 from .ir import StreamIR
 from .plan import FunctionalPlan
 
-__all__ = ["PASS_NAMES", "DEFAULT_PASSES", "normalize_passes", "build_plan"]
-
-#: Every toggleable pass, in pipeline order.
-PASS_NAMES: Tuple[str, ...] = ("rename", "group", "lane_fuse", "pool",
-                               "interleave")
-DEFAULT_PASSES: frozenset = frozenset(PASS_NAMES)
+__all__ = ["build_plan"]
 
 _CODE_ACT = CTYPE_CODES[CommandType.ACT]
 _CODE_PRE = CTYPE_CODES[CommandType.PRE]
@@ -71,21 +63,6 @@ _IS_SCALAR = np.array([ct in (CommandType.LOAD_SCALAR,
                               CommandType.BU_SCALAR,
                               CommandType.STORE_SCALAR)
                        for ct in CODE_CTYPES], dtype=np.bool_)
-
-
-def normalize_passes(passes) -> frozenset:
-    """``None`` -> all passes; else validate an iterable of pass names."""
-    if passes is None:
-        return DEFAULT_PASSES
-    if isinstance(passes, str):
-        passes = (passes,) if passes else ()
-    names = frozenset(passes)
-    unknown = names - DEFAULT_PASSES
-    if unknown:
-        raise ValueError(
-            f"unknown compiler pass(es) {sorted(unknown)}; "
-            f"choose from {list(PASS_NAMES)}")
-    return names
 
 
 # -- shared vectorized helpers -------------------------------------------------
@@ -175,7 +152,7 @@ class _Validated:
         self.has_scalar = has_scalar
 
 
-def _validate(ir: StreamIR, arch: ArchParams, passes: frozenset):
+def _validate(ir: StreamIR, arch: ArchParams):
     """Vectorized symbolic validation.
 
     Returns ``(reason, validated)`` — ``reason`` is the legacy fallback
@@ -245,10 +222,7 @@ def _validate(ir: StreamIR, arch: ArchParams, passes: frozenset):
                     f"needs {zetas_per_atom}"))
 
     if has_scalar:
-        lane_fusable = ("lane_fuse" in passes and "pool" in passes
-                        and not bool(((codes == _CODE_C2)
-                                      | (codes == _CODE_C1N)).any()))
-        if not lane_fusable:
+        if bool(((codes == _CODE_C2) | (codes == _CODE_C1N)).any()):
             rule(is_scalar, 5,
                  lambda i: (f"cmd {i}: {CODE_CTYPES[codes[i]].value} "
                             f"runs per-command"))
@@ -439,8 +413,7 @@ def _assemble_groups(rel, depth, kinds, extras, first_sort_keys=None):
     return groups
 
 
-def _atom_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
-               stats: dict):
+def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     codes = ir.codes
     idx_r = np.nonzero(codes == _CODE_CU_READ)[0]
     idx_w = np.nonzero(codes == _CODE_CU_WRITE)[0]
@@ -471,16 +444,9 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
     extras[pos_of[_KIND_C2]] = ir.gs[idx_c2]
     extras[pos_of[_KIND_C1N]] = ir.gs[idx_c1n]
 
-    if "group" in passes:
-        compact_src = np.searchsorted(rel, src)
-        compact_dst = np.searchsorted(rel, dst)
-        depth = _longest_path_levels(len(rel), compact_src, compact_dst)
-        stats["edges"] = int(len(src))
-    else:
-        depth = np.arange(len(rel), dtype=np.int64)
-        stats["edges"] = 0
-
-    pooled = "pool" in passes
+    depth = _longest_path_levels(len(rel), np.searchsorted(rel, src),
+                                 np.searchsorted(rel, dst))
+    stats["edges"] = int(len(src))
     rows = ir.rows
     cols = ir.cols
     omega0s = ir.omega0s
@@ -498,34 +464,25 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
             vouts = versions["r_vout"][cpos]
             ops.append(("read", rows[members].astype(np.intp),
                         cols[members].astype(np.intp),
-                        vouts.astype(np.intp) if pooled
-                        else vouts.tolist()))
+                        vouts.astype(np.intp)))
         elif kind == _KIND_WRITE:
             cpos = np.searchsorted(idx_w, members)
             vins = versions["w_vin"][cpos]
             ops.append(("write", rows[members].astype(np.intp),
                         cols[members].astype(np.intp),
-                        vins.astype(np.intp) if pooled else vins.tolist()))
+                        vins.astype(np.intp)))
         elif kind == _KIND_C1:
             cpos = np.searchsorted(idx_c1, members)
             vins = versions["c1_vin"][cpos]
             vouts = versions["c1_vout"][cpos]
-            ops.append(("c1",
-                        vins.astype(np.intp) if pooled else vins.tolist(),
-                        vouts.astype(np.intp) if pooled else vouts.tolist(),
+            ops.append(("c1", vins.astype(np.intp), vouts.astype(np.intp),
                         members_tuple(omega0s, members)))
         elif kind == _KIND_C2:
             cpos = np.searchsorted(idx_c2, members)
-            pins = versions["c2_pin"][cpos]
-            sins = versions["c2_sin"][cpos]
-            pouts = versions["c2_pout"][cpos]
-            souts = versions["c2_sout"][cpos]
-            if pooled:
-                pins, sins = pins.astype(np.intp), sins.astype(np.intp)
-                pouts, souts = pouts.astype(np.intp), souts.astype(np.intp)
-            else:
-                pins, sins = pins.tolist(), sins.tolist()
-                pouts, souts = pouts.tolist(), souts.tolist()
+            pins = versions["c2_pin"][cpos].astype(np.intp)
+            sins = versions["c2_sin"][cpos].astype(np.intp)
+            pouts = versions["c2_pout"][cpos].astype(np.intp)
+            souts = versions["c2_sout"][cpos].astype(np.intp)
             ops.append(("c2", pins, sins, pouts, souts,
                         members_tuple(omega0s, members),
                         members_tuple(r_omegas, members), bool(extra)))
@@ -533,9 +490,7 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
             cpos = np.searchsorted(idx_c1n, members)
             vins = versions["c1n_vin"][cpos]
             vouts = versions["c1n_vout"][cpos]
-            ops.append(("c1n",
-                        vins.astype(np.intp) if pooled else vins.tolist(),
-                        vouts.astype(np.intp) if pooled else vouts.tolist(),
+            ops.append(("c1n", vins.astype(np.intp), vouts.astype(np.intp),
                         members_tuple(zetas, members), bool(extra)))
         else:  # param
             ops.append(("param", int(members[0])))
@@ -552,15 +507,13 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
         has_param=bool(len(idx_p)),
         max_buffer=versions["max_buffer"],
         mode="atom",
-        pooled=pooled,
     )
     return plan, None
 
 
 # -- lane-granular plan (the Nb=1 scalar-µ-op shape) ---------------------------
 
-def _lane_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
-               stats: dict):
+def _lane_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     """Lane-granular renaming: buffer lanes and the CU scalar register
     rename individually, so scalar µ-op programs fuse into stacked lane
     copies and butterflies instead of executing per-command."""
@@ -731,13 +684,9 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
         kinds[np.searchsorted(rel, idx)] = kind
     extras = np.zeros(len(rel), dtype=np.int64)
 
-    if "group" in passes:
-        depth = _longest_path_levels(
-            len(rel), np.searchsorted(rel, src), np.searchsorted(rel, dst))
-        stats["edges"] = int(len(src))
-    else:
-        depth = np.arange(len(rel), dtype=np.int64)
-        stats["edges"] = 0
+    depth = _longest_path_levels(
+        len(rel), np.searchsorted(rel, src), np.searchsorted(rel, dst))
+    stats["edges"] = int(len(src))
 
     # Scatter vin back to original touch order, then slice the fixed
     # class-block layout into per-class views.
@@ -808,7 +757,6 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
         has_param=bool(len(idx_p)),
         max_buffer=int(touched_bufs.max()) if len(touched_bufs) else -1,
         mode="lane",
-        pooled=True,
         lane_init=tuple((int(buf), int(init_base + i * na))
                         for i, buf in enumerate(touched_bufs)),
         lane_final=tuple((int(buf), lane_final[i])
@@ -821,21 +769,18 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, passes: frozenset,
 
 # -- entry ---------------------------------------------------------------------
 
-def build_plan(ir: StreamIR, arch: ArchParams, passes=None):
+def build_plan(ir: StreamIR, arch: ArchParams):
     """Run the pass pipeline over one IR.
 
     Returns ``(plan, fallback_reason, stats)`` — exactly one of the
     first two is set.
     """
-    passes = normalize_passes(passes)
-    stats: dict = {"passes": tuple(sorted(passes))}
-    if "rename" not in passes:
-        return None, "buffer-renaming pass disabled", stats
-    reason, validated = _validate(ir, arch, passes)
+    stats: dict = {}
+    reason, validated = _validate(ir, arch)
     if reason is not None:
         return None, reason, stats
     if validated.has_scalar:
-        plan, reason = _lane_plan(ir, arch, passes, stats)
+        plan, reason = _lane_plan(ir, arch, stats)
     else:
-        plan, reason = _atom_plan(ir, arch, passes, stats)
+        plan, reason = _atom_plan(ir, arch, stats)
     return plan, reason, stats

@@ -11,11 +11,8 @@ per-command loop.  Two shapes exist:
   mapping): versions are single lanes plus the CU's scalar register;
   LOAD/BU/STORE_SCALAR runs execute as stacked copies / butterflies.
 
-``pooled=True`` ops carry ``np.intp`` index arrays into one shared
-value pool (``(n_virtual, Na)`` for atom mode, ``(n_virtual,)`` for
-lane mode); unpooled atom ops keep the legacy list-of-version payloads
-and the executor stacks rows per group (the pre-pooling behaviour, kept
-for the ``pool`` pass toggle).
+Ops carry ``np.intp`` index arrays into one shared value pool
+(``(n_virtual, Na)`` for atom mode, ``(n_virtual,)`` for lane mode).
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ class FunctionalPlan:
     * ``("c2", pins, sins, pouts, souts, omega0s, r_omegas, gs)``.
     * ``("c1n", vins, vouts, zetas_rows, gs)``.
 
-    Lane-mode entries (all pooled; vid arrays are ``np.intp``):
+    Vid arrays are ``np.intp``.  Lane-mode entries:
 
     * ``("lread", rows, cols, vouts2d)`` / ``("lwrite", rows, cols,
       vins2d)`` — ``(k, Na)`` whole-atom gathers/scatters through
@@ -75,7 +72,6 @@ class FunctionalPlan:
     has_param: bool
     max_buffer: int
     mode: str = "atom"
-    pooled: bool = True
     lane_init: Tuple[Tuple[int, int], ...] = ()
     lane_final: tuple = ()
     reg_init: Optional[int] = None

@@ -26,13 +26,12 @@ lane-fusion, pooling, interleave} passes -> this class):
 
 Programs the passes cannot prove safe (WR with host data, protocol
 violations, rows left open at program end, missing twiddle payloads)
-compile with ``plan = None`` and execute through the legacy per-command
-loop — the ground-truth path — raising the same errors at the same
-commands.
+compile with ``plan = None`` and execute through the per-command
+reference interpreter, raising the same errors at the same commands.
 
-Streams are cached under the same structural keys as the PR 2 schedule
-cache (program-cache keys or merge recipes over them) plus the active
-pass set, so merged batch/multibank programs compile once per shape.
+Streams are cached under the same structural keys as the schedule
+cache (program-cache keys or merge recipes over them), so merged
+batch/multibank programs compile once per shape.
 """
 
 from __future__ import annotations
@@ -130,15 +129,9 @@ class CommandStream:
         return f"<CommandStream n={self.n} banks={self.nbanks} {state}>"
 
 
-def compile_stream(commands, arch: ArchParams,
-                   passes=None) -> CommandStream:
+def compile_stream(commands, arch: ArchParams) -> CommandStream:
     """Compile a command program (or a prebuilt
-    :class:`~repro.compile.ir.StreamIR`) into an executable stream.
-
-    ``passes`` selects the optimization passes to run (``None`` = all;
-    see :data:`repro.compile.PASS_NAMES`) — every subset produces a
-    bit-identical execution, only the fusion shape changes.
-    """
+    :class:`~repro.compile.ir.StreamIR`) into an executable stream."""
     # Lazy import: repro.compile sits above this module (it imports
     # CommandStream from here); the cycle resolves at call time.
     from ..compile.ir import StreamIR
@@ -146,14 +139,14 @@ def compile_stream(commands, arch: ArchParams,
 
     ir = (commands if isinstance(commands, StreamIR)
           else StreamIR.from_commands(commands))
-    return compile_ir(ir, arch, passes)
+    return compile_ir(ir, arch)
 
 
 # -- stream cache --------------------------------------------------------------
 # Keyed exactly like the driver's schedule cache: a compact structural
 # key (program-cache key or a merge recipe over such keys) when the
 # caller has one, else the command tuple itself — plus the geometry the
-# plan was validated against and the active pass set.  Thread-safe via
+# plan was validated against.  Thread-safe via
 # the shared ArtifactCache (locked lookup/stats/eviction, compilation
 # outside the lock, one canonical stream per key).
 
@@ -161,8 +154,7 @@ _MAX_STREAMS = 128
 _stream_cache = ArtifactCache(_MAX_STREAMS)
 
 
-def cached_stream(commands, arch: ArchParams, key=None,
-                  passes=None) -> CommandStream:
+def cached_stream(commands, arch: ArchParams, key=None) -> CommandStream:
     """Memoized :func:`compile_stream`.
 
     ``key`` is an exact stand-in for the command content (see
@@ -176,9 +168,6 @@ def cached_stream(commands, arch: ArchParams, key=None,
     mergers pass their merge as the callable, so warm shapes skip the
     merge work entirely.
     """
-    from ..compile.passes import normalize_passes
-
-    pass_tag = tuple(sorted(normalize_passes(passes)))
     if callable(commands) and key is None:
         commands = commands()
     if key is not None:
@@ -188,11 +177,10 @@ def cached_stream(commands, arch: ArchParams, key=None,
         content_key = (tuple(commands.materialize_commands())
                        if isinstance(commands, StreamIR)
                        else tuple(commands))
-    cache_key = (content_key, arch, pass_tag)
     return _stream_cache.get_or_create(
-        cache_key,
+        (content_key, arch),
         lambda: compile_stream(commands() if callable(commands)
-                               else commands, arch, passes=pass_tag))
+                               else commands, arch))
 
 
 def stream_cache_info() -> Dict[str, int]:

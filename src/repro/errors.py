@@ -30,9 +30,10 @@ class FunctionalMismatch(ReproError):
 class ServeError(ReproError):
     """The serving layer (:mod:`repro.serve`) failed an operation —
     queue bookkeeping went inconsistent, or a dispatch's execution
-    raised.  Worker-pool exceptions surface as a :class:`ServeError`
-    (with the original exception as ``__cause__``) so serving callers
-    catch one hierarchy instead of arbitrary executor leaks."""
+    raised.  Non-library exceptions raised while executing a dispatch
+    surface as a :class:`ServeError` (with the original exception as
+    ``__cause__``) so serving callers catch one hierarchy instead of
+    arbitrary executor leaks."""
 
 
 class ShardFailure(ServeError):
@@ -63,8 +64,8 @@ class ClusterError(ServeError):
     Carries the failing replica's id and lifecycle state when the
     supervisor knows them (``None``/``""`` otherwise), so operators see
     *which* replica in *what* state failed.  Watchdog-path wrappers
-    keep the original exception as ``__cause__`` — like the worker
-    pool's :class:`ServeError` wrap — so retryable failures (e.g. a
+    keep the original exception as ``__cause__`` — like the server's
+    dispatch :class:`ServeError` wrap — so retryable failures (e.g. a
     recoverable drain) stay recognizable under the wrap.
     """
 

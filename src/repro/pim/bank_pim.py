@@ -205,11 +205,10 @@ class PimBank:
 
     def lockstep_ok(self, stream: CommandStream) -> bool:
         """True when :meth:`run_stream` executes ``stream`` across the
-        bank axis: a pooled atom-mode plan the lane kernels cover.  A
+        bank axis: an atom-mode plan the lane kernels cover.  A
         stacked bank runs nothing else; such programs run one bank at a
         time."""
-        return (self._stream_fusable(stream) and stream.plan.mode == "atom"
-                and stream.plan.pooled)
+        return self._stream_fusable(stream) and stream.plan.mode == "atom"
 
     def run_stream(self, stream: CommandStream) -> None:
         """Apply a compiled program via its fused macro-ops.
@@ -223,21 +222,19 @@ class PimBank:
         and raised errors are identical to :meth:`run` on
         ``stream.commands``; programs without a plan (or moduli outside
         the lane kernels) fall back to that loop.  A stacked bank runs
-        the pooled plan once for all its banks (see :meth:`lockstep_ok`).
+        the plan once for all its banks (see :meth:`lockstep_ok`).
         """
         plan = stream.plan
         if self.banks > 1 and not self.lockstep_ok(stream):
             raise MappingError(
-                "stacked banks run pooled atom-mode plans only")
+                "stacked banks run atom-mode plans only")
         if not self._stream_fusable(stream):
             self.run(stream.commands)
             return
         if plan.mode == "lane":
             self._run_lane_plan(stream)
-        elif plan.pooled:
-            self._run_pooled_plan(stream)
         else:
-            self._run_unpooled_plan(stream)
+            self._run_pooled_plan(stream)
 
     def _plan_cells(self):
         """The cell view plan gathers/scatters index, and a function
@@ -247,11 +244,11 @@ class PimBank:
                 (lambda rows: rows - row0) if row0 else (lambda rows: rows))
 
     def _run_pooled_plan(self, stream: CommandStream) -> None:
-        """Atom-mode plan with the pooling pass on: all virtual buffer
-        versions live in one ``(banks, n_virtual, Na)`` array, so group
-        results scatter straight into the pool — no per-row
-        ``np.stack``.  Every op acts on all stacked banks at once: the
-        CU kernels see ``(banks, k, Na)`` and share one twiddle pack."""
+        """Atom-mode plan: all virtual buffer versions live in one
+        ``(banks, n_virtual, Na)`` array, so group results scatter
+        straight into the pool — no per-row ``np.stack``.  Every op acts
+        on all stacked banks at once: the CU kernels see
+        ``(banks, k, Na)`` and share one twiddle pack."""
         plan = stream.plan
         cells, rebase = self._plan_cells()
         buffers = self.buffers
@@ -373,79 +370,6 @@ class PimBank:
             buffers.write_array(buf, pool[vid_arr])
         if plan.reg_final is not None:
             cu.reg_a = int(pool[plan.reg_final])
-
-    def _run_unpooled_plan(self, stream: CommandStream) -> None:
-        """Atom-mode plan with the pooling pass off: virtual versions
-        are separate arrays stacked per group (the pre-pooling executor,
-        kept as the toggled-off ground truth)."""
-        plan = stream.plan
-        cells, rebase = self._plan_cells()
-        cells = cells[0]
-        buffers = self.buffers
-        cu = self.cu
-        fuse_cache = stream.fuse_cache
-        na = self.arch.words_per_atom
-        vals: List = [None] * plan.n_virtual
-        for buf, vid in plan.init_versions:
-            vals[vid] = buffers.peek_array(buf)
-
-        for index, op in enumerate(plan.ops):
-            kind = op[0]
-            if kind == "read":
-                _, rows_a, cols_a, vouts = op
-                atoms = cells[rebase(rows_a), cols_a]  # (k, Na) gather copy
-                for j, vid in enumerate(vouts):
-                    vals[vid] = atoms[j]
-            elif kind == "write":
-                _, rows_a, cols_a, vins = op
-                cells[rebase(rows_a), cols_a] = np.stack(
-                    [vals[v] for v in vins])
-            elif kind == "c2":
-                _, pins, sins, pouts, souts, omega0s, r_omegas, gs = op
-                cache_key = (index, cu._require_modulus())
-                w2d = fuse_cache.get(cache_key)
-                if w2d is None:
-                    w2d = fuse_cache[cache_key] = vector.c2_stack_wpack(
-                        cache_key[1], omega0s, r_omegas, na)
-                p_out, s_out = cu.execute_c2_stack(
-                    np.stack([vals[v] for v in pins]),
-                    np.stack([vals[v] for v in sins]), w2d, gs=gs)
-                for j, vid in enumerate(pouts):
-                    vals[vid] = p_out[j]
-                for j, vid in enumerate(souts):
-                    vals[vid] = s_out[j]
-            elif kind == "c1":
-                _, vins, vouts, omegas = op
-                cache_key = (index, cu._require_modulus())
-                wpack = fuse_cache.get(cache_key)
-                if wpack is None:
-                    wpack = fuse_cache[cache_key] = vector.c1_stack_wpack(
-                        cache_key[1], omegas, na)
-                out = cu.execute_c1_stack(np.stack([vals[v] for v in vins]),
-                                          wpack)
-                for j, vid in enumerate(vouts):
-                    vals[vid] = out[j]
-            elif kind == "c1n":
-                _, vins, vouts, zetas_rows, gs = op
-                cache_key = (index, cu._require_modulus())
-                z2d = fuse_cache.get(cache_key)
-                if z2d is None:
-                    z2d = fuse_cache[cache_key] = vector.c1n_stack_zpack(
-                        cache_key[1], zetas_rows)
-                out = cu.execute_c1n_stack(np.stack([vals[v] for v in vins]),
-                                           z2d, gs=gs)
-                for j, vid in enumerate(vouts):
-                    vals[vid] = out[j]
-            else:  # param
-                if self.pending_q is None:
-                    raise MappingError("PARAM_WRITE with no staged parameters")
-                cu.set_modulus(self.pending_q)
-
-        # Restore the physical buffer file to its end-of-program state
-        # (copies: the winning versions are views into shared group
-        # results, and write_array takes ownership).
-        for buf, vid in plan.final_versions:
-            buffers.write_array(buf, vals[vid].copy())
 
     # -- host data path -------------------------------------------------------
     def load_polynomial(self, base_row: int, values: List[int]) -> None:

@@ -9,8 +9,8 @@ priority and an optional deadline) is admitted or rejected at arrival
 front-end gives), waits in priority order, and leaves when the
 batching scheduler dispatches it.
 
-The queue is thread-safe (one lock around every mutation) so the
-worker pool and a submitting thread can share it; the deterministic
+The queue is thread-safe (one lock around every mutation) so several
+submitting threads can share it; the deterministic
 discrete-event planner in :mod:`repro.serve.scheduler` drives it
 single-threaded.
 """

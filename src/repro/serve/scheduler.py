@@ -18,8 +18,8 @@ admission happens at arrival against the bounded queue, a group closes
 when its window elapses or it fills ``max_banks``, and requests whose
 deadline passes while still queued expire before dispatch.  Group
 membership and dispatch times depend only on arrivals and the window —
-never on service times — which keeps the plan exact while execution is
-pipelined underneath (:mod:`repro.serve.server`).
+never on service times — which keeps the plan exact whatever the
+execution underneath costs (:mod:`repro.serve.server`).
 
 The walk itself lives in :class:`PlanSession`, which is *incremental*:
 :meth:`PlanSession.offer` consumes one arrival at a time (closing every

@@ -9,7 +9,7 @@ the numbers a serving dashboard would plot: throughput (requests per
 simulated second), p50/p99 latency, mean batch occupancy, admission
 and deadline counts, cycle/energy totals and cache hit rates.
 
-Thread-safe: records may be appended from worker threads.
+Thread-safe: records may be appended from several threads.
 """
 
 from __future__ import annotations

@@ -78,16 +78,12 @@ class BatchResult:
         return self.single_cycles / self.cycles_per_transform
 
 
-def compile_batch(params: NttParams, count: int, config: SimConfig,
-                  passes=None):
+def compile_batch(params: NttParams, count: int, config: SimConfig):
     """Compile the ``count``-deep back-to-back program for one shape.
 
     Returns ``(programs, merged_stream, merged_key, rows_each)``.
-    Memoized end to end, so it doubles as the warm-up step pipelined
-    compile paths run ahead of execution.  With the ``interleave``
-    (merge) pass enabled the concat runs vectorized over IR columns
-    (:func:`repro.compile.concat_irs`); toggled off, the legacy
-    per-command :func:`concat_programs` runs — both bit-identical.
+    Memoized end to end, so it doubles as a warm-up step.  The concat
+    runs vectorized over IR columns (:func:`repro.compile.concat_irs`).
     """
     if count < 1:
         raise ValueError("need at least one polynomial")
@@ -106,17 +102,11 @@ def compile_batch(params: NttParams, count: int, config: SimConfig,
     # stream cache misses: the batch compiles to a stream once per
     # shape and warm shapes skip the merge work entirely.
     from ..compile.lower import concat_irs
-    from ..compile.passes import normalize_passes
 
     merged_key = programs_recipe_key("concat", programs, True)
-    if "interleave" in normalize_passes(passes):
-        def merge():
-            return concat_irs([p.ir for p in programs])
-    else:
-        def merge():
-            return concat_programs([p.commands for p in programs])
-    merged_stream = cached_stream(merge, config.arch, key=merged_key,
-                                  passes=passes)
+    merged_stream = cached_stream(
+        lambda: concat_irs([p.ir for p in programs]), config.arch,
+        key=merged_key)
     return programs, merged_stream, merged_key, rows_each
 
 

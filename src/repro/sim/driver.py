@@ -287,10 +287,7 @@ class NttPimDriver:
         explicit expected output.
         """
         cfg = self.config
-        if verify_against is VERIFY_DEFAULT or (
-                isinstance(verify_against, str) and verify_against == "default"):
-            # The string is the legacy spelling of the sentinel; honour it
-            # rather than treating it as expected-output data.
+        if verify_against is VERIFY_DEFAULT:
             return self._run_ntt(values, ntt)
         program = self._program(ntt)
         stream = cached_stream(program.ir, cfg.arch, key=program.key)

@@ -225,22 +225,16 @@ def normalize_specs(spec, banks: int) -> List[TransformSpec]:
     return [TransformSpec.of(spec)] * banks
 
 
-def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
+def compile_multibank(spec, banks: int, config: SimConfig):
     """Compile the ``banks``-way interleaved program for one shape.
 
     ``spec`` is a :class:`TransformSpec` (or bare ``NttParams``, the
     legacy forward-cyclic spelling), or a per-bank spec sequence for
     mixed-kind dispatches.  Returns ``(programs, merged_stream,
     merged_key)``.  Everything is memoized (program / stream caches),
-    so this doubles as the *warm-up* step the streaming ``run_many``
-    and the serving layer's worker pool run for group *k+1* while group
-    *k* executes.
-
-    With the ``interleave`` pass enabled (the default) the merge runs
-    as a vectorized index permutation over the per-bank IR columns
-    (:func:`repro.compile.interleave_irs`); toggled off, the legacy
-    per-command :func:`interleave_programs` ground truth runs.  Both
-    produce bit-identical merged programs.
+    so this doubles as a *warm-up* step.  The merge runs as a
+    vectorized index permutation over the per-bank IR columns
+    (:func:`repro.compile.interleave_irs`).
     """
     if banks < 1:
         raise ValueError("need at least one bank's worth of input")
@@ -253,17 +247,11 @@ def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
     # cheap) shared-cache key — and the merge itself runs lazily, only
     # when the stream cache misses on that key.
     from ..compile.lower import interleave_irs
-    from ..compile.passes import normalize_passes
 
     merged_key = programs_recipe_key("interleave", programs)
-    if "interleave" in normalize_passes(passes):
-        def merge():
-            return interleave_irs([p.ir for p in programs])
-    else:
-        def merge():
-            return interleave_programs([p.commands for p in programs])
-    merged_stream = cached_stream(merge, config.arch, key=merged_key,
-                                  passes=passes)
+    merged_stream = cached_stream(
+        lambda: interleave_irs([p.ir for p in programs]), config.arch,
+        key=merged_key)
     return programs, merged_stream, merged_key
 
 

@@ -9,6 +9,7 @@ from typing import ClassVar
 import pytest
 
 from repro.api import (
+    BankSpec,
     BatchRequest,
     FheOpRequest,
     MultiBankRequest,
@@ -151,6 +152,61 @@ class TestValidation:
         with pytest.raises(AttributeError):
             request.inverse = True
         assert isinstance(request.values, tuple)
+
+
+def _with_bad_coefficient(kind, bad):
+    """One request of ``kind`` whose last coefficient is ``bad``."""
+    row = [1] * (N - 1) + [bad]
+    if kind == "ntt":
+        return NttRequest(params=PARAMS, values=row)
+    if kind == "negacyclic":
+        return NegacyclicRequest(ring=RING, values=row)
+    if kind == "batch":
+        return BatchRequest(params=PARAMS, inputs=[[0] * N, row])
+    if kind == "multibank":
+        return MultiBankRequest(params=PARAMS, inputs=[[0] * N, row])
+    if kind == "multibank_specs":
+        return MultiBankRequest(
+            specs=(BankSpec(params=PARAMS), BankSpec(ring=RING)),
+            inputs=[[0] * N, row])
+    if kind == "fhe_a":
+        return FheOpRequest(ring=RING, op="forward", a=row)
+    return FheOpRequest(ring=RING, op="multiply", a=[0] * N, b=row)
+
+
+class TestCoefficientRange:
+    """Coefficients outside ``[0, q)`` fail at the facade with a typed
+    error, never deep in a bank (or silently, for values >= q)."""
+
+    KINDS = ("ntt", "negacyclic", "batch", "multibank", "multibank_specs",
+             "fhe_a", "fhe_b")
+
+    @staticmethod
+    def _modulus(kind):
+        return Q if kind in ("ntt", "batch", "multibank") else QN
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("edge", ["negative", "q"])
+    def test_simulator_run_rejects(self, kind, edge):
+        bad = -1 if edge == "negative" else self._modulus(kind)
+        with pytest.raises(RequestValidationError, match="outside"):
+            Simulator(SimConfig(verify=False)).run(
+                _with_bad_coefficient(kind, bad))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("edge", ["negative", "q"])
+    def test_server_submit_rejects(self, kind, edge):
+        from repro.serve import SimServer
+        bad = -1 if edge == "negative" else self._modulus(kind)
+        server = SimServer(SimConfig(verify=False))
+        with pytest.raises(RequestValidationError, match="outside"):
+            server.submit(_with_bad_coefficient(kind, bad))
+        assert server.drain() == []
+
+    def test_largest_coefficient_accepted(self):
+        response = Simulator().run(
+            NttRequest(params=PARAMS, values=[Q - 1] * N))
+        assert response.verified
 
 
 class TestLegacyEquivalence:
@@ -433,13 +489,6 @@ class TestStreamingRunMany:
             assert collected[i].cycles == expected.cycles
             assert collected[i].metrics.get("group_banks") == \
                 expected.metrics.get("group_banks")
-
-    def test_pipeline_off_is_equivalent(self):
-        simulator = Simulator(SimConfig(verify=False))
-        requests = self._requests(4)
-        plain = simulator.run_many(requests, pipeline=False)
-        piped = simulator.run_many(requests, pipeline=True)
-        assert [r.values for r in plain] == [r.values for r in piped]
 
     def test_groups_stream_before_later_units_run(self):
         """The first dispatch unit's responses arrive from the iterator

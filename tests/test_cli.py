@@ -86,35 +86,29 @@ class TestCliFacade:
 
 
 class TestCliCompile:
-    """The ``compile`` subcommand: IR dump + pass toggles, no execution."""
+    """The ``compile`` subcommand: IR dump, no execution."""
 
     def test_compile_default_workload(self, capsys):
         assert main(["compile", "-n", "256"]) == 0
         out = capsys.readouterr().out
-        assert "StreamIR" in out and "passes:" in out and "plan:" in out
+        assert "StreamIR" in out and "plan:" in out
 
     def test_compile_dump_ir(self, capsys):
         assert main(["compile", "ntt", "-n", "256", "--dump-ir"]) == 0
         out = capsys.readouterr().out
         assert "CU_READ" in out and "deps (flat)" in out
 
-    def test_compile_pass_subset_falls_back_on_nb1(self, capsys):
+    def test_compile_nb1_fuses_through_lanes(self, capsys):
         assert main(["compile", "ntt", "-n", "64", "--nb", "1",
-                     "--passes", "rename,group,pool"]) == 0
+                     "--dump-ir"]) == 0
         out = capsys.readouterr().out
-        assert "fallback:" in out and "per-command" in out
+        assert "plan: mode=lane" in out and "fallback:" not in out
 
     def test_compile_multibank(self, capsys):
         assert main(["compile", "multibank", "-n", "256",
                      "--count", "3", "--dump-ir"]) == 0
         out = capsys.readouterr().out
         assert "3 bank(s)" in out and "merge" in out
-
-    def test_compile_unknown_pass_errors(self, capsys):
-        assert main(["compile", "ntt", "-n", "256",
-                     "--passes", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown passes" in err and "rename" in err
 
     def test_compile_unknown_workload_errors(self, capsys):
         assert main(["compile", "fhe", "-n", "256"]) == 2

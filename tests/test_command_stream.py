@@ -67,7 +67,8 @@ class TestCompilation:
 
     def test_scalar_programs_fuse_through_lane_renaming(self):
         # Nb=1 µ-op programs fuse via the lane-granular renaming pass;
-        # with that pass toggled off they fall back per-command.
+        # a scalar program that also carries a C2 (which lane fusion
+        # does not cover) runs per-command, identically to the reference.
         n = 64
         q = find_ntt_prime(n, 32)
         config = SimConfig(pim=PimParams(nb_buffers=1))
@@ -76,10 +77,36 @@ class TestCompilation:
         assert stream.plan is not None, stream.fallback_reason
         assert stream.plan.mode == "lane"
         assert len(stream.plan.ops) < len(cmds) // 2
-        off = compile_stream(cmds, HBM2E_ARCH,
-                             passes={"rename", "group", "pool"})
-        assert off.plan is None
-        assert "per-command" in off.fallback_reason
+
+        w = 3
+        mixed = [Command(CommandType.PARAM_WRITE),
+                 Command(CommandType.ACT, row=0),
+                 Command(CommandType.CU_READ, row=0, col=0, buf=0),
+                 Command(CommandType.CU_READ, row=0, col=1, buf=1),
+                 Command(CommandType.PRE),
+                 Command(CommandType.LOAD_SCALAR, buf=0, lane=0),
+                 Command(CommandType.BU_SCALAR, buf=0, lane=1, omega0=w),
+                 Command(CommandType.STORE_SCALAR, buf=0, lane=0),
+                 Command(CommandType.C2, buf=0, buf2=1, omega0=w,
+                         r_omega=w),
+                 Command(CommandType.ACT, row=0),
+                 Command(CommandType.CU_WRITE, row=0, col=0, buf=0),
+                 Command(CommandType.CU_WRITE, row=0, col=1, buf=1),
+                 Command(CommandType.PRE)]
+        fallback = compile_stream(mixed, HBM2E_ARCH)
+        assert fallback.plan is None
+        assert "per-command" in fallback.fallback_reason
+        config = SimConfig()
+        reference, streamed = _fresh_banks(config, q)
+        data = list(range(1, 2 * HBM2E_ARCH.words_per_atom + 1))
+        for bank in (reference, streamed):
+            bank.load_polynomial(0, data)
+        reference.run(mixed)
+        streamed.run_stream(fallback)
+        width = 2 * HBM2E_ARCH.words_per_atom
+        assert (streamed.read_polynomial(0, width)
+                == reference.read_polynomial(0, width))
+        assert _counters(streamed) == _counters(reference)
 
     def test_protocol_violations_fall_back(self):
         bad = [Command(CommandType.ACT, row=3),

@@ -261,7 +261,7 @@ def _plan_signature(plan):
         return value
     return (norm(plan.ops), plan.n_virtual, norm(plan.init_versions),
             norm(plan.final_versions), plan.has_param, plan.max_buffer,
-            plan.mode, plan.pooled, norm(plan.lane_init),
+            plan.mode, norm(plan.lane_init),
             norm(plan.lane_final), plan.reg_init, plan.reg_final)
 
 
