@@ -7,9 +7,11 @@ stream compile cost, the cold mapping cost (the columnar mapper
 emitting its ``StreamIR``), the end-to-end functional ``run_ntt``
 speedup of the stream-routed driver over the legacy per-command bank,
 the warm verified ``kyber_kem`` request time (golden ring-product
-check included) and the warm verified 8-bank N=512 multi-bank dispatch
-time (lockstep banks plus the batched golden check) — and merges the
-measurements into ``BENCH_kernels.json`` at the repo root.
+check included), the warm verified 8-bank N=512 multi-bank dispatch
+time (lockstep banks plus the batched golden check) and the warm
+verified N=256 FHE ring product (both forwards as one two-bank
+lockstep walk) — and merges the measurements into
+``BENCH_kernels.json`` at the repo root.
 
 Non-gating when run directly —
 
@@ -31,7 +33,7 @@ from pathlib import Path
 
 from bench_backend_speedup import _best_of, merge_sections
 
-from repro.api import KyberKemRequest, MultiBankRequest, Simulator
+from repro.api import FheOpRequest, KyberKemRequest, MultiBankRequest, Simulator
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
 from repro.dram import (
     HBM2E_ARCH,
@@ -42,6 +44,7 @@ from repro.dram import (
     compile_stream,
 )
 from repro.mapping.program_cache import clear_program_cache, cyclic_program
+from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.driver import NttPimDriver, SimConfig
@@ -114,7 +117,8 @@ def run(ns=(1024, 4096), repeats: int = 5,
     results = {"timing_engine": section, "compiler": compiler,
                "mapping": _bench_mapping(repeats),
                "golden": _bench_golden(4 * repeats + 1),
-               "multibank": _bench_multibank(4 * repeats + 1)}
+               "multibank": _bench_multibank(4 * repeats + 1),
+               "fhe": _bench_fhe(4 * repeats + 1)}
     merge_sections(out_path, results)
     return results
 
@@ -204,6 +208,34 @@ def _bench_multibank(repeats: int, n: int = 512, banks: int = 8) -> dict:
     }}
 
 
+def _bench_fhe(repeats: int, n: int = 256) -> dict:
+    """Warm verified hosted FHE ring product (``FheOpRequest`` multiply:
+    psi-scaled forwards of both operands as one two-bank lockstep walk,
+    pointwise product, inverse; every transform checked): median wall
+    time over ``repeats`` fresh operand pairs after one warm-up
+    request."""
+    ring = NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True))
+    rng = random.Random(n)
+    requests = [FheOpRequest(ring=ring, op="multiply",
+                             a=[rng.randrange(ring.q) for _ in range(n)],
+                             b=[rng.randrange(ring.q) for _ in range(n)])
+                for _ in range(repeats + 1)]
+    sim = Simulator()
+    assert sim.run(requests[0]).verified
+    samples = []
+    for request in requests[1:]:
+        start = time.perf_counter()
+        response = sim.run(request)
+        samples.append(time.perf_counter() - start)
+        assert response.verified
+    return {"fhe_multiply": {
+        "n": n,
+        "q": ring.q,
+        "repeats": repeats,
+        "warm_request_ms": statistics.median(samples) * 1e3,
+    }}
+
+
 def _bench_nb1(repeats: int, n: int = 256) -> dict:
     """Nb=1 µ-op programs: the lane-renaming pass must fuse them, and
     the fused run must beat the per-command reference interpreter (the
@@ -276,6 +308,10 @@ def _format(results: dict) -> str:
             f"multibank: warm verified {entry['banks']}-bank N={entry['n']} "
             f"dispatch {entry['warm_dispatch_ms']:.2f} ms "
             f"(median of {entry['repeats']})")
+    fhe = results["fhe"]["fhe_multiply"]
+    lines.append(
+        f"fhe: warm verified multiply N={fhe['n']} "
+        f"{fhe['warm_request_ms']:.2f} ms (median of {fhe['repeats']})")
     return "\n".join(lines)
 
 
@@ -315,6 +351,7 @@ def test_stream_engine_smoke(show, tmp_path):
     dispatch = results["multibank"]["ntt_8bank"]
     assert (dispatch["n"], dispatch["banks"]) == (512, 8)
     assert dispatch["warm_dispatch_ms"] > 0
+    assert results["fhe"]["fhe_multiply"]["warm_request_ms"] > 0
 
 
 def main(argv=None) -> int:

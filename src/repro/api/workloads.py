@@ -11,12 +11,11 @@ CLI's generic ``run <workload>`` subcommand accepts.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
 from ..errors import ReproError
-from ..mapping.program_cache import cyclic_program, negacyclic_program
 from ..sim.batch import BatchResult, _run_batch, compile_batch
 from ..sim.driver import NttPimDriver, SimConfig, cached_schedule
 from ..sim.multibank import (
@@ -39,18 +38,23 @@ from .requests import (
 from .response import SimResponse
 
 __all__ = ["response_from_run", "response_from_schedule",
-           "precompile_request", "multibank_specs"]
+           "precompile_request", "multibank_specs", "transform_spec"]
+
+
+def transform_spec(request) -> TransformSpec:
+    """The :class:`TransformSpec` of an ``ntt`` or ``negacyclic``
+    request, or of one :class:`~repro.api.requests.BankSpec` — the one
+    place a request's kind fields lower into the engine room."""
+    ring = getattr(request, "ring", None)
+    return TransformSpec(kind="negacyclic" if ring is not None else "ntt",
+                         inverse=request.inverse,
+                         params=getattr(request, "params", None), ring=ring)
 
 
 def multibank_specs(request: "MultiBankRequest") -> List[TransformSpec]:
     """The per-bank :class:`TransformSpec` list of a multi-bank request
-    — the one place the request's kind fields lower into the engine
-    room.  Mixed-kind requests (``specs``) map one entry per bank."""
-    return [TransformSpec(
-        kind="negacyclic" if spec.ring is not None else "ntt",
-        inverse=spec.inverse,
-        params=spec.params,
-        ring=spec.ring) for spec in request.bank_specs()]
+    (mixed-kind requests, ``specs``, map one entry per bank)."""
+    return [transform_spec(spec) for spec in request.bank_specs()]
 
 
 def precompile_request(config: SimConfig, request) -> bool:
@@ -75,18 +79,8 @@ def precompile_request(config: SimConfig, request) -> bool:
                         compute, config.energy, key=key)
 
     try:
-        if type(request) is NttRequest:
-            ntt = request.params.inverse() if request.inverse else request.params
-            program = cyclic_program(ntt, config.arch, config.pim,
-                                     config.base_row, 0,
-                                     config.mapper_options)
-            warm(cached_stream(program.ir, config.arch,
-                               key=program.key), program.key)
-            return True
-        if type(request) is NegacyclicRequest:
-            program = negacyclic_program(request.ring, config.arch,
-                                         config.pim, config.base_row,
-                                         inverse=request.inverse)
+        if type(request) in (NttRequest, NegacyclicRequest):
+            program = transform_spec(request).program(config, 0)
             warm(cached_stream(program.ir, config.arch,
                                key=program.key), program.key)
             return True
@@ -149,55 +143,41 @@ def response_from_schedule(workload: str, schedule: ScheduleResult,
     )
 
 
-def _values_or_zeros(values: Optional[tuple], n: int) -> List[int]:
-    return list(values) if values is not None else [0] * n
-
-
-@register_workload("ntt")
-def run_ntt_workload(config: SimConfig, request: NttRequest) -> SimResponse:
-    """Cyclic (I)NTT — Sec. IV.A protocol, the Fig. 7/8 run shape."""
-    driver = NttPimDriver(config)
-    values = _values_or_zeros(request.values, request.params.n)
-    if request.inverse:
-        run = driver._run_intt(values, request.params)
-    else:
-        run = driver._run_ntt(values, request.params)
-    return response_from_run("ntt", run)
-
-
 @register_workload("negacyclic")
-def run_negacyclic_workload(config: SimConfig,
-                            request: NegacyclicRequest) -> SimResponse:
-    """Native merged negacyclic transform (C1N mapping extension)."""
-    driver = NttPimDriver(config)
-    values = _values_or_zeros(request.values, request.ring.n)
-    if request.inverse:
-        run = driver._run_negacyclic_intt(values, request.ring)
-    else:
-        run = driver._run_negacyclic_ntt(values, request.ring)
-    return response_from_run("negacyclic", run)
+@register_workload("ntt")
+def run_transform_workload(config: SimConfig, request) -> SimResponse:
+    """One cyclic (I)NTT — Sec. IV.A protocol, the Fig. 7/8 run shape —
+    or one native merged negacyclic transform (C1N mapping extension)."""
+    spec = transform_spec(request)
+    values = request.values if request.values is not None else (0,) * spec.n
+    run = NttPimDriver(config)._run_transforms(spec, [values])[0]
+    return response_from_run(request.workload, run)
 
 
-@register_workload("batch")
-def run_batch_workload(config: SimConfig,
-                       request: BatchRequest) -> SimResponse:
-    """Back-to-back NTTs in one bank (Sec. VI.A batching)."""
-    result: BatchResult = _run_batch(
-        [list(row) for row in request.inputs], request.params, config)
-    response = response_from_schedule("batch", result.schedule, raw=result)
+def _group_response(workload: str, result, metrics: dict) -> SimResponse:
+    """Envelope a batch or multi-bank result (one output per transform)."""
+    response = response_from_schedule(workload, result.schedule, raw=result)
     if result.bu_ops:
         response.counters["bu_ops"] = result.bu_ops
     response.outputs = [list(out) for out in result.outputs]
     if response.outputs:
         response.values = list(response.outputs[0])
     response.verified = result.verified
-    response.metrics = {
+    response.metrics = metrics
+    return response
+
+
+@register_workload("batch")
+def run_batch_workload(config: SimConfig,
+                       request: BatchRequest) -> SimResponse:
+    """Back-to-back NTTs in one bank (Sec. VI.A batching)."""
+    result: BatchResult = _run_batch(request.inputs, request.params, config)
+    return _group_response("batch", result, {
         "count": result.count,
         "single_cycles": result.single_cycles,
         "cycles_per_transform": result.cycles_per_transform,
         "amortization": result.amortization,
-    }
-    return response
+    })
 
 
 @register_workload("multibank")
@@ -206,22 +186,13 @@ def run_multibank_workload(config: SimConfig,
     """One transform per bank on the shared bus (Sec. VI.A /
     Conclusion); cyclic forward/inverse or merged negacyclic."""
     result: MultiBankResult = _run_multibank(
-        [list(row) for row in request.inputs], multibank_specs(request),
-        config)
-    response = response_from_schedule("multibank", result.schedule, raw=result)
-    if result.bu_ops:
-        response.counters["bu_ops"] = result.bu_ops
-    response.outputs = [list(out) for out in result.outputs]
-    if response.outputs:
-        response.values = list(response.outputs[0])
-    response.verified = result.verified
-    response.metrics = {
+        request.inputs, multibank_specs(request), config)
+    return _group_response("multibank", result, {
         "banks": result.banks,
         "single_bank_cycles": result.single_bank_cycles,
         "speedup": result.speedup,
         "efficiency": result.efficiency,
-    }
-    return response
+    })
 
 
 @register_workload("fhe")
@@ -232,30 +203,15 @@ def run_fhe_workload(config: SimConfig, request: FheOpRequest) -> SimResponse:
     from ..fhe.ops import PimFheAccelerator
 
     acc = PimFheAccelerator(request.ring, config, native=request.native)
-    a = list(request.a)
-    verified = False
+    # Every transform is checked against its golden model inside the
+    # accelerator; a product's inverse check is the ring-product check.
     if request.op == "multiply":
-        out = acc.multiply(a, list(request.b))
-        if config.functional and config.verify:
-            from ..arith.modmath import mod_mul_vec
-            from ..ntt.negacyclic import negacyclic_intt, negacyclic_ntt
-            fa = negacyclic_ntt(a, request.ring)
-            fb = negacyclic_ntt(list(request.b), request.ring)
-            expected = negacyclic_intt(mod_mul_vec(fa, fb, request.ring.q),
-                                       request.ring)
-            if out != expected:
-                from ..errors import FunctionalMismatch
-                raise FunctionalMismatch(
-                    f"FHE ring product wrong for N={request.ring.n}")
-            verified = True
+        out = acc.multiply(request.a, request.b)
     elif request.op == "forward":
-        out = acc.forward(a)
-        verified = config.functional and config.verify
+        out = acc.forward(request.a)
     else:
-        out = acc.inverse(a)
-        # Only the native inverse runs the golden check; the hosted
-        # path's cyclic INTT is unverified (verify_against=None).
-        verified = config.functional and config.verify and request.native
+        out = acc.inverse(request.a)
+    verified = config.functional and config.verify
     stats = acc.stats
     return SimResponse(
         workload="fhe",

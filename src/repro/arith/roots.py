@@ -108,8 +108,16 @@ class NttParams:
         self.n_inv = mod_inverse(n, q)
 
     def inverse(self) -> "NttParams":
-        """Parameters of the inverse transform (twiddles inverted)."""
-        return NttParams(self.n, self.q, self.omega_inv)
+        """Parameters of the inverse transform (twiddles inverted); one
+        shared, read-only instance per ``(n, q, omega)``."""
+        return _inverse_params(self.n, self.q, self.omega_inv)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NttParams(n={self.n}, q={self.q}, omega={self.omega})"
+
+
+@lru_cache(maxsize=256)
+def _inverse_params(n: int, q: int, omega_inv: int) -> NttParams:
+    # The constructor's primitive-root check dominates an inverse
+    # transform's host-side setup; every caller shares the result.
+    return NttParams(n, q, omega_inv)

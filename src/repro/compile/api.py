@@ -94,22 +94,15 @@ def compile_request(request, config=None) -> CompiledProgram:
     )
     from ..dram.stream import cached_stream
     from ..errors import RequestValidationError
-    from ..mapping.program_cache import cyclic_program, negacyclic_program
     from ..sim.driver import SimConfig
 
     if config is None:
         config = SimConfig()
     request.validate()
 
-    if type(request) is NttRequest:
-        ntt = request.params.inverse() if request.inverse else request.params
-        program = cyclic_program(ntt, config.arch, config.pim,
-                                 config.base_row, 0, config.mapper_options)
-        stream = cached_stream(program.ir, config.arch, key=program.key)
-        return CompiledProgram(request, stream, key=program.key)
-    if type(request) is NegacyclicRequest:
-        program = negacyclic_program(request.ring, config.arch, config.pim,
-                                     config.base_row, inverse=request.inverse)
+    if type(request) in (NttRequest, NegacyclicRequest):
+        from ..api.workloads import transform_spec
+        program = transform_spec(request).program(config, 0)
         stream = cached_stream(program.ir, config.arch, key=program.key)
         return CompiledProgram(request, stream, key=program.key)
     if type(request) is MultiBankRequest:

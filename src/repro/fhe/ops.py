@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from ..arith.modmath import mod_mul_vec, mod_scale_vec
-from ..arith.roots import NttParams
-from ..ntt.negacyclic import NegacyclicParams, psi_power_table
+from ..arith.modmath import mod_mul_vec
+from ..ntt.negacyclic import NegacyclicParams
 from ..sim.driver import NttPimDriver, SimConfig
+from ..sim.multibank import TransformSpec
 
 __all__ = ["PimTransformStats", "PimFheAccelerator"]
 
@@ -36,6 +36,8 @@ class PimTransformStats:
     #: DRAM commands issued across all transforms (the command-bus
     #: traffic the serving layer's shared-bus model charges).
     total_commands: int = 0
+    #: Butterfly µ-ops the banks executed (functional runs).
+    total_bu_ops: int = 0
     per_call_us: List[float] = field(default_factory=list)
 
 
@@ -49,6 +51,15 @@ class PimFheAccelerator:
     * ``native=True`` (extension): the merged negacyclic transform runs
       entirely on the PIM via the C1N/zeta mapping — no host scaling or
       permutation passes (see :mod:`repro.mapping.negacyclic_mapper`).
+
+    Every transform runs on the driver's lockstep executor and, with
+    ``config.verify`` on, is checked against its golden model.  A ring
+    product's two forward transforms share one ring, so they run as one
+    two-bank group with one batched golden check; its inverse is checked
+    against the golden inverse of the pointwise product — with both
+    forwards equal to their golden models, that is the check of the
+    whole ring product.  Timing stays per transform: each one is charged
+    its own single-bank run.
     """
 
     def __init__(self, ring: NegacyclicParams, config: SimConfig | None = None,
@@ -58,13 +69,9 @@ class PimFheAccelerator:
         self.cyclic = ring.cyclic  # NttParams of the underlying cyclic NTT
         self.native = native
         self.stats = PimTransformStats()
-        q, n = ring.q, ring.n
-        # Shared per-(psi, n, q) tables — deterministic artifacts, memoized.
-        self._psi_powers = psi_power_table(ring.psi, n, q)
-        self._psi_inv_powers = psi_power_table(ring.psi_inv, n, q)
-        # 1/N folded into the inverse post-scaling: one element-wise pass.
-        self._inv_scale = mod_scale_vec(self._psi_inv_powers,
-                                        self.cyclic.n_inv, q)
+        kind = "negacyclic" if native else "hosted"
+        self._forward = TransformSpec(kind=kind, ring=ring)
+        self._inverse = TransformSpec(kind=kind, ring=ring, inverse=True)
 
     def _record(self, result) -> None:
         self.stats.transforms += 1
@@ -73,37 +80,30 @@ class PimFheAccelerator:
         self.stats.total_energy_nj += result.energy_nj
         self.stats.total_activations += result.activations
         self.stats.total_commands += result.command_count
+        self.stats.total_bu_ops += result.bu_ops
         self.stats.per_call_us.append(result.latency_us)
+
+    def _run(self, spec: TransformSpec,
+             rows: Sequence[Sequence[int]]) -> List[List[int]]:
+        results = self.driver._run_transforms(spec, rows)
+        for result in results:
+            self._record(result)
+        return [result.output for result in results]
 
     def forward(self, coefficients: Sequence[int]) -> List[int]:
         """Negacyclic forward transform on the PIM."""
-        if self.native:
-            result = self.driver._run_negacyclic_ntt(coefficients, self.ring)
-            self._record(result)
-            return result.output
-        q = self.ring.q
-        scaled = mod_mul_vec(coefficients, self._psi_powers, q)
-        result = self.driver._run_ntt(scaled, self.cyclic)
-        self._record(result)
-        return result.output
+        return self._run(self._forward, [coefficients])[0]
 
     def inverse(self, values: Sequence[int]) -> List[int]:
         """Negacyclic inverse transform (PIM transform; 1/N — and in the
         paper-faithful mode psi^-i — applied host-side)."""
-        if self.native:
-            result = self.driver._run_negacyclic_intt(values, self.ring)
-            self._record(result)
-            return result.output
-        q = self.ring.q
-        inv_params = NttParams(self.cyclic.n, q, self.cyclic.omega_inv)
-        result = self.driver._run_ntt_with_params(values, inv_params,
-                                                  verify_against=None)
-        self._record(result)
-        return mod_mul_vec(result.output, self._inv_scale, q)
+        return self._run(self._inverse, [values])[0]
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """Full ring product: 2 forward NTTs, pointwise, 1 inverse."""
-        fa = self.forward(a)
-        fb = self.forward(b)
-        prod = mod_mul_vec(fa, fb, self.ring.q)
-        return self.inverse(prod)
+        """Full ring product: 2 forward NTTs (one lockstep pair),
+        pointwise, 1 inverse."""
+        fa, fb = self._run(self._forward, [a, b])
+        if not self.driver.config.functional:
+            # Timing-only runs carry no data: time the inverse on zeros.
+            return self.inverse([0] * self.ring.n)
+        return self.inverse(mod_mul_vec(fa, fb, self.ring.q))

@@ -17,6 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
+from ..arith import vector
 from ..arith.modmath import mod_inverse, mod_pow
 from ..arith.roots import is_primitive_root_of_unity, root_of_unity
 from .merged import block_zeta_exponent
@@ -74,6 +77,12 @@ class IncompleteNttParams:
             for slot in range(n // depth))
         #: The inverse's ``(N/depth)^-1`` scale.
         self.scale = mod_inverse(n // depth, q)
+        #: The same tables as uint64 lanes (the NumPy path).
+        self.forward_zeta_lanes, self.inverse_zeta_lanes = (
+            {length: np.array(zetas, dtype=np.uint64)
+             for length, zetas in table.items()}
+            for table in (self.forward_zetas, self.inverse_zetas))
+        self.slot_zeta_lanes = np.array(self.slot_zetas, dtype=np.uint64)
 
     def slot_zeta(self, slot: int) -> int:
         """The ``X^depth = zeta`` constant of base-case slot ``slot``.
@@ -100,6 +109,8 @@ def incomplete_ntt(values: Sequence[int],
     n, q = params.n, params.q
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
+    if vector.numpy_active(q):
+        return _incomplete_ntt_lanes(values, params)
     x = [v % q for v in values]
     length = n // 2
     while length >= params.depth:
@@ -113,12 +124,32 @@ def incomplete_ntt(values: Sequence[int],
     return x
 
 
+def _incomplete_ntt_lanes(values: Sequence[int],
+                          params: IncompleteNttParams) -> List[int]:
+    """:func:`incomplete_ntt` stage by stage on uint64 lanes: each stage
+    is one ``(blocks, 2, length)`` view with one zeta per block."""
+    q = params.q
+    x = vector._as_lanes(values, q)
+    length = params.n // 2
+    while length >= params.depth:
+        blocks = x.reshape(-1, 2, length)
+        top = blocks[:, 0].copy()  # the writes below go through the view
+        t = vector.mod_mul_arr(params.forward_zeta_lanes[length][:, None],
+                               blocks[:, 1], q)
+        blocks[:, 0] = vector.mod_add_arr(top, t, q)
+        blocks[:, 1] = vector.mod_sub_arr(top, t, q)
+        length >>= 1
+    return x.tolist()
+
+
 def incomplete_intt(values: Sequence[int],
                     params: IncompleteNttParams) -> List[int]:
     """Inverse truncated transform with the (N/depth)^-1 scale."""
     n, q = params.n, params.q
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
+    if vector.numpy_active(q):
+        return _incomplete_intt_lanes(values, params)
     x = [v % q for v in values]
     length = params.depth
     while length < n:
@@ -133,6 +164,23 @@ def incomplete_intt(values: Sequence[int],
     return [(v * scale) % q for v in x]
 
 
+def _incomplete_intt_lanes(values: Sequence[int],
+                           params: IncompleteNttParams) -> List[int]:
+    """:func:`incomplete_intt` stage by stage on uint64 lanes."""
+    q = params.q
+    x = vector._as_lanes(values, q)
+    length = params.depth
+    while length < params.n:
+        blocks = x.reshape(-1, 2, length)
+        top, bottom = blocks[:, 0].copy(), blocks[:, 1].copy()
+        blocks[:, 0] = vector.mod_add_arr(top, bottom, q)
+        blocks[:, 1] = vector.mod_mul_arr(
+            vector.mod_sub_arr(top, bottom, q),
+            params.inverse_zeta_lanes[length][:, None], q)
+        length <<= 1
+    return vector.mod_mul_arr(x, np.uint64(params.scale), q).tolist()
+
+
 def incomplete_basemul(a_hat: Sequence[int], b_hat: Sequence[int],
                        params: IncompleteNttParams) -> List[int]:
     """Slot-wise product: schoolbook multiply in ``Z_q[X]/(X^d - zeta)``
@@ -140,6 +188,8 @@ def incomplete_basemul(a_hat: Sequence[int], b_hat: Sequence[int],
     n, q, d = params.n, params.q, params.depth
     if len(a_hat) != n or len(b_hat) != n:
         raise ValueError("operands must be full transform-domain vectors")
+    if vector.numpy_active(q):
+        return _incomplete_basemul_lanes(a_hat, b_hat, params)
     out = [0] * n
     for slot, zeta in enumerate(params.slot_zetas):
         base = slot * d
@@ -153,3 +203,21 @@ def incomplete_basemul(a_hat: Sequence[int], b_hat: Sequence[int],
                     out[base + k - d] = (out[base + k - d]
                                          + prod * zeta) % q
     return out
+
+
+def _incomplete_basemul_lanes(a_hat: Sequence[int], b_hat: Sequence[int],
+                              params: IncompleteNttParams) -> List[int]:
+    """:func:`incomplete_basemul` over all slots at once: coefficient
+    ``i`` of ``a`` times all of ``b`` accumulates into columns
+    ``i .. i+d-1`` of a ``(slots, 2d)`` product, whose top half then
+    wraps back times each slot's zeta."""
+    q, d = params.q, params.depth
+    a = vector._as_lanes(a_hat, q).reshape(-1, d)
+    b = vector._as_lanes(b_hat, q).reshape(-1, d)
+    acc = np.zeros((a.shape[0], 2 * d), dtype=np.uint64)
+    for i in range(d):
+        acc[:, i:i + d] = vector.mod_add_arr(
+            acc[:, i:i + d], vector.mod_mul_arr(a[:, i:i + 1], b, q), q)
+    wrapped = vector.mod_mul_arr(params.slot_zeta_lanes[:, None],
+                                 acc[:, d:], q)
+    return vector.mod_add_arr(acc[:, :d], wrapped, q).reshape(-1).tolist()

@@ -14,6 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from ..arith.modmath import mod_inverse, mod_mul_vec, mod_pow
 from ..arith.roots import NttParams, is_primitive_root_of_unity, root_of_unity
 from .reference import _kronecker_product, intt, ntt
@@ -21,6 +23,7 @@ from .reference import _kronecker_product, intt, ntt
 __all__ = [
     "NegacyclicParams",
     "psi_power_table",
+    "twist_tables",
     "negacyclic_ntt",
     "negacyclic_intt",
     "negacyclic_convolution",
@@ -55,6 +58,24 @@ def psi_power_table(base: int, n: int, q: int) -> Tuple[int, ...]:
     for i in range(1, n):
         powers[i] = (powers[i - 1] * base) % q
     return tuple(powers)
+
+
+@lru_cache(maxsize=64)
+def _twist_tables(psi: int, n: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    n_inv = mod_inverse(n, q)
+    post = [(p * n_inv) % q for p in psi_power_table(mod_inverse(psi, q), n, q)]
+    forward = np.array(psi_power_table(psi, n, q), dtype=np.uint64)
+    inverse = np.array(post, dtype=np.uint64)
+    forward.flags.writeable = inverse.flags.writeable = False
+    return forward, inverse
+
+
+def twist_tables(ring: NegacyclicParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The host passes of the decomposed (hosted) transform as read-only
+    uint64 lanes: ``psi^i`` (forward pre-scale) and ``psi^-i * N^-1``
+    (inverse post-scale, the 1/N folded in).  Built once per
+    ``(psi, n, q)`` ring and shared by every request on it."""
+    return _twist_tables(ring.psi, ring.n, ring.q)
 
 
 def negacyclic_ntt(values: Sequence[int], params: NegacyclicParams) -> List[int]:

@@ -43,9 +43,15 @@ class PimParams:
         return self.nb_buffers // 2
 
     def compute_timing(self) -> ComputeTiming:
-        """Engine-facing latency table."""
-        return ComputeTiming(
-            c1_cycles=self.c1_cycles,
-            c2_cycles=self.c2_cycles,
-            param_cycles=self.param_write_cycles,
-        )
+        """Engine-facing latency table: built on first use, then the same
+        instance for every call (the frozen fields determine it)."""
+        timing = self.__dict__.get("_compute_timing")
+        if timing is None:
+            timing = ComputeTiming(
+                c1_cycles=self.c1_cycles,
+                c2_cycles=self.c2_cycles,
+                param_cycles=self.param_write_cycles,
+            )
+            # Frozen dataclass, hence object.__setattr__.
+            object.__setattr__(self, "_compute_timing", timing)
+        return timing

@@ -63,9 +63,9 @@ from ..api.dag import DagRequest
 from ..api.requests import SimRequest
 from ..api.response import SimResponse
 from ..api.simulator import Simulator
+from ..api.workloads import transform_spec
 from ..errors import FunctionalMismatch, ReproError, ServeError, ShardFailure
 from ..sim.driver import SimConfig
-from ..sim.multibank import TransformSpec
 from .faults import (
     NO_FAULT,
     FaultPlan,
@@ -1084,12 +1084,6 @@ class SimServer:
         values = getattr(request, "values", None)
         if values is None:
             return None
-        if request.workload == "ntt":
-            spec = TransformSpec(kind="ntt", params=request.params,
-                                 inverse=request.inverse)
-        elif request.workload == "negacyclic":
-            spec = TransformSpec(kind="negacyclic", ring=request.ring,
-                                 inverse=request.inverse)
-        else:
+        if request.workload not in ("ntt", "negacyclic"):
             return None
-        return spec.expected(list(values))
+        return transform_spec(request).expected(list(values))

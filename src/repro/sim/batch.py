@@ -15,16 +15,13 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
 from ..dram.commands import Command, CommandType
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
-from ..errors import FunctionalMismatch
 from ..mapping.program_cache import cyclic_program, programs_recipe_key
-from ..ntt.reference import ntt as reference_ntt
-from ..pim.bank_pim import PimBank
 from .driver import SimConfig, cached_schedule
+from .multibank import TransformSpec, run_lockstep
 
 __all__ = ["BatchResult", "compile_batch", "concat_programs"]
 
@@ -115,7 +112,8 @@ def _run_batch(inputs: Sequence[Sequence[int]], params: NttParams,
     """Run ``len(inputs)`` NTTs back-to-back in one bank.
 
     Each polynomial occupies its own row region so results stay resident
-    (an FHE pipeline reads them later).
+    (an FHE pipeline reads them later); the timing is that back-to-back
+    program's.
     """
     config = config or SimConfig()
     count = len(inputs)
@@ -131,21 +129,14 @@ def _run_batch(inputs: Sequence[Sequence[int]], params: NttParams,
     outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
-        bank = PimBank(config.arch, config.pim)
-        bank.set_parameters(params.q)
-        for i, values in enumerate(inputs):
-            bank.load_polynomial(config.base_row + i * rows_each,
-                                 bit_reverse_permute(list(values)))
-        bank.run_stream(merged_stream)
-        bu_ops = bank.cu.bu_ops
-        outputs = [bank.read_polynomial(config.base_row + i * rows_each,
-                                        params.n)
-                   for i in range(count)]
-        if config.verify:
-            for i, values in enumerate(inputs):
-                if outputs[i] != reference_ntt(values, params):
-                    raise FunctionalMismatch(f"batch element {i} wrong")
-            verified = True
+        # Each polynomial's transform is independent of its row region,
+        # so the batch's function runs as one lockstep group of the first
+        # slot's program (the merged stream only adds timing overlap).
+        program = programs[0]
+        stream = cached_stream(program.ir, config.arch, key=program.key)
+        outputs, bu_ops = run_lockstep(TransformSpec(params=params), program,
+                                       stream, inputs, config)
+        verified = config.verify
     return BatchResult(count=count, schedule=schedule,
                        single_cycles=single.total_cycles, verified=verified,
                        outputs=outputs, bu_ops=bu_ops)

@@ -17,39 +17,20 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .._cache import ArtifactCache
-from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
 from ..dram.commands import Command
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import TimingEngine
 from ..dram.stream import CommandStream, cached_stream
 from ..dram.timing import HBM2E_ARCH, HBM2E_TIMING, ArchParams, TimingParams
-from ..errors import FunctionalMismatch
-from ..mapping.mapper import MapperOptions, NttMapper
-from ..mapping.program_cache import cyclic_program, negacyclic_program
-from ..mapping.single_buffer import SingleBufferMapper
-from ..ntt.merged import merged_negacyclic_intt, merged_negacyclic_ntt
+from ..mapping.mapper import MapperOptions
+from ..mapping.program_cache import cyclic_program
 from ..ntt.negacyclic import NegacyclicParams
-from ..ntt.reference import ntt as reference_ntt
-from ..pim.bank_pim import PimBank
 from ..pim.params import PimParams
 from .results import NttRunResult
 
-__all__ = ["SimConfig", "NttPimDriver", "VERIFY_DEFAULT", "cached_schedule",
+__all__ = ["SimConfig", "NttPimDriver", "cached_schedule",
            "schedule_cache_info", "clear_schedule_cache"]
-
-
-class _VerifyDefault:
-    """Sentinel for :meth:`NttPimDriver.run_ntt_with_params`: verify the
-    output against the golden reference NTT (the :meth:`run_ntt` path)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<verify against reference NTT>"
-
-
-#: Default for ``verify_against``: check against the golden reference NTT.
-#: Pass ``None`` to skip verification, or an explicit expected output list.
-VERIFY_DEFAULT = _VerifyDefault()
 
 
 # -- schedule cache ------------------------------------------------------------
@@ -103,10 +84,6 @@ def cached_schedule(commands, timing, arch, compute, energy, key=None):
     return _schedule_cache.get_or_create(cache_key, simulate)
 
 
-# Backwards-compatible internal alias (pre-facade name).
-_cached_schedule = cached_schedule
-
-
 def schedule_cache_info() -> dict:
     """Schedule-cache statistics (mirrors
     :func:`repro.mapping.program_cache.program_cache_info`)."""
@@ -152,15 +129,6 @@ class NttPimDriver:
     def __init__(self, config: Optional[SimConfig] = None):
         self.config = config or SimConfig()
 
-    def make_mapper(self, ntt: NttParams, bank: int = 0):
-        """The mapper matching this configuration."""
-        cfg = self.config
-        if cfg.pim.nb_buffers == 1:
-            return SingleBufferMapper(ntt, cfg.arch, cfg.pim,
-                                      cfg.base_row, bank)
-        return NttMapper(ntt, cfg.arch, cfg.pim, cfg.base_row, bank,
-                         options=cfg.mapper_options)
-
     def _program(self, ntt: NttParams, bank: int = 0):
         """The (memoized) command program for this configuration."""
         cfg = self.config
@@ -172,46 +140,53 @@ class NttPimDriver:
         program is a pure function of the parameters and configuration)."""
         return list(self._program(ntt, bank).commands)
 
+    def _run_transforms(self, spec, rows: Sequence[Sequence[int]]
+                        ) -> List[NttRunResult]:
+        """Simulate ``len(rows)`` standalone transforms of one
+        :class:`~repro.sim.multibank.TransformSpec`.
+
+        Timing is per transform: each result carries the single-bank
+        schedule of the spec's bank-0 program, exactly as if it ran
+        alone.  Function runs the whole group through the one lockstep
+        executor (:func:`~repro.sim.multibank.run_lockstep`: one plan
+        walk, one batched golden check), which raises
+        :class:`~repro.errors.FunctionalMismatch` if a PIM result
+        disagrees with the golden model (when ``verify`` is on).
+        """
+        # Imported here: repro.sim.multibank builds on this module.
+        from .multibank import run_lockstep
+
+        cfg = self.config
+        for row in rows:
+            if len(row) != spec.n:
+                raise ValueError(f"expected {spec.n} values, got {len(row)}")
+        program = spec.program(cfg, 0)
+        stream = cached_stream(program.ir, cfg.arch, key=program.key)
+        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
+                                   cfg.pim.compute_timing(), cfg.energy,
+                                   key=program.key)
+        outputs: List[List[int]] = [[] for _ in rows]
+        bu_ops = 0
+        if cfg.functional:
+            outputs, bu_ops = run_lockstep(spec, program, stream, rows, cfg)
+        # Every bank ran the same program: each transform's share of the
+        # group's butterflies is an exact equal split.
+        each = bu_ops // max(len(rows), 1)
+        return [NttRunResult(
+            n=spec.n, q=spec.q, nb_buffers=cfg.pim.nb_buffers,
+            output=output, schedule=schedule,
+            verified=cfg.functional and cfg.verify,
+            command_count=program.ir.n, bu_ops=each) for output in outputs]
+
     def _run_ntt(self, values: Sequence[int], ntt: NttParams) -> NttRunResult:
         """Simulate one forward NTT of ``values`` (natural order).
 
         Returns timing, energy and the transformed data; raises
-        :class:`FunctionalMismatch` if the PIM result disagrees with the
-        golden model (when ``verify`` is on).
+        :class:`~repro.errors.FunctionalMismatch` if the PIM result
+        disagrees with the golden model (when ``verify`` is on).
         """
-        cfg = self.config
-        if len(values) != ntt.n:
-            raise ValueError(f"expected {ntt.n} values, got {len(values)}")
-        program = self._program(ntt)
-        stream = cached_stream(program.ir, cfg.arch, key=program.key)
-
-        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
-                                   cfg.pim.compute_timing(), cfg.energy,
-                                   key=program.key)
-
-        output: List[int] = []
-        verified = False
-        bu_ops = 0
-        if cfg.functional:
-            bank = PimBank(cfg.arch, cfg.pim)
-            bank.set_parameters(ntt.q)
-            # Host-side bit reversal, then data is "already in memory".
-            bank.load_polynomial(cfg.base_row, bit_reverse_permute(list(values)))
-            bank.run_stream(stream)
-            output = bank.read_polynomial(program.result_base_row, ntt.n)
-            bu_ops = bank.cu.bu_ops
-            if cfg.verify:
-                expected = reference_ntt(values, ntt)
-                if output != expected:
-                    raise FunctionalMismatch(
-                        f"PIM NTT result wrong for N={ntt.n}, "
-                        f"Nb={cfg.pim.nb_buffers}")
-                verified = True
-
-        return NttRunResult(
-            n=ntt.n, q=ntt.q, nb_buffers=cfg.pim.nb_buffers,
-            output=output, schedule=schedule, verified=verified,
-            command_count=program.ir.n, bu_ops=bu_ops)
+        from .multibank import TransformSpec
+        return self._run_transforms(TransformSpec(params=ntt), [values])[0]
 
     def _run_negacyclic_ntt(self, values: Sequence[int],
                             ring: NegacyclicParams,
@@ -220,95 +195,21 @@ class NttPimDriver:
         :mod:`repro.mapping.negacyclic_mapper`).
 
         Natural-order input, NTT-domain output (forward); the inverse
-        returns natural order *before* the 1/N scale, which the caller
-        (or :meth:`run_negacyclic_intt`) applies host-side.
+        returns natural order, the 1/N scale applied host-side.
         """
-        cfg = self.config
-        if len(values) != ring.n:
-            raise ValueError(f"expected {ring.n} values, got {len(values)}")
-        program = negacyclic_program(ring, cfg.arch, cfg.pim, cfg.base_row,
-                                     inverse=inverse)
-        stream = cached_stream(program.ir, cfg.arch, key=program.key)
-        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
-                                   cfg.pim.compute_timing(), cfg.energy,
-                                   key=program.key)
-        output: List[int] = []
-        verified = False
-        bu_ops = 0
-        if cfg.functional:
-            bank = PimBank(cfg.arch, cfg.pim)
-            bank.set_parameters(ring.q)
-            bank.load_polynomial(cfg.base_row, [v % ring.q for v in values])
-            bank.run_stream(stream)
-            output = bank.read_polynomial(program.result_base_row, ring.n)
-            bu_ops = bank.cu.bu_ops
-            if cfg.verify:
-                if inverse:
-                    expected = [(v * ring.n) % ring.q for v in
-                                merged_negacyclic_intt(values, ring)]
-                else:
-                    expected = merged_negacyclic_ntt(values, ring)
-                if output != expected:
-                    raise FunctionalMismatch(
-                        f"PIM negacyclic NTT wrong for N={ring.n}")
-                verified = True
-        return NttRunResult(
-            n=ring.n, q=ring.q, nb_buffers=cfg.pim.nb_buffers,
-            output=output, schedule=schedule, verified=verified,
-            command_count=program.ir.n, bu_ops=bu_ops)
+        from .multibank import TransformSpec
+        spec = TransformSpec(kind="negacyclic", ring=ring, inverse=inverse)
+        return self._run_transforms(spec, [values])[0]
 
     def _run_negacyclic_intt(self, values: Sequence[int],
                              ring: NegacyclicParams) -> NttRunResult:
         """Inverse merged transform including the host-side 1/N scale."""
-        from ..arith.modmath import mod_inverse, mod_scale_vec
-        result = self._run_negacyclic_ntt(values, ring, inverse=True)
-        n_inv = mod_inverse(ring.n, ring.q)
-        result.output = mod_scale_vec(result.output, n_inv, ring.q)
-        return result
+        return self._run_negacyclic_ntt(values, ring, inverse=True)
 
     def _run_intt(self, values: Sequence[int], ntt: NttParams) -> NttRunResult:
         """Inverse transform: same machine, inverse twiddles; the final
         1/N scaling is an element-wise pass the host (or an FHE pipeline's
         next element-wise stage) absorbs — as in the compared works."""
-        from ..arith.modmath import mod_scale_vec
-        result = self._run_ntt_with_params(values, ntt.inverse(),
-                                           verify_against=None)
-        result.output = mod_scale_vec(result.output, ntt.n_inv, ntt.q)
-        return result
-
-    def _run_ntt_with_params(
-            self, values: Sequence[int], ntt: NttParams,
-            verify_against: Optional[List[int]] | _VerifyDefault = VERIFY_DEFAULT,
-    ) -> NttRunResult:
-        """Like :meth:`_run_ntt` but with custom verification data.
-
-        ``verify_against`` is :data:`VERIFY_DEFAULT` (check against the
-        golden reference NTT), ``None`` (skip verification), or the
-        explicit expected output.
-        """
-        cfg = self.config
-        if verify_against is VERIFY_DEFAULT:
-            return self._run_ntt(values, ntt)
-        program = self._program(ntt)
-        stream = cached_stream(program.ir, cfg.arch, key=program.key)
-        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
-                                   cfg.pim.compute_timing(), cfg.energy,
-                                   key=program.key)
-        output: List[int] = []
-        bu_ops = 0
-        verified = False
-        if cfg.functional:
-            bank = PimBank(cfg.arch, cfg.pim)
-            bank.set_parameters(ntt.q)
-            bank.load_polynomial(cfg.base_row, bit_reverse_permute(list(values)))
-            bank.run_stream(stream)
-            output = bank.read_polynomial(program.result_base_row, ntt.n)
-            bu_ops = bank.cu.bu_ops
-            if verify_against is not None:
-                if output != verify_against:
-                    raise FunctionalMismatch("PIM result mismatch")
-                verified = True
-        return NttRunResult(
-            n=ntt.n, q=ntt.q, nb_buffers=cfg.pim.nb_buffers,
-            output=output, schedule=schedule, verified=verified,
-            command_count=program.ir.n, bu_ops=bu_ops)
+        from .multibank import TransformSpec
+        spec = TransformSpec(params=ntt, inverse=True)
+        return self._run_transforms(spec, [values])[0]

@@ -7,19 +7,22 @@ and the CUs are per-bank, so speedup is near-linear until the command
 bus saturates — which this module lets us measure.
 
 The merge is *kind-generic*: a :class:`TransformSpec` names which
-per-bank program every bank runs — forward or inverse cyclic NTT, or
-the merged negacyclic transform — plus how its functional I/O is
-staged (input permutation, host-side 1/N scale, golden reference).
+per-bank program every bank runs — forward or inverse cyclic NTT, the
+merged negacyclic transform, or the paper-faithful hosted negacyclic
+transform (a psi-twisted cyclic NTT) — plus how its functional I/O is
+staged (input permutation, host-side scale passes, golden reference).
 That one abstraction is what lets the serving layer's batching
 scheduler coalesce negacyclic and inverse traffic exactly like forward
 cyclic NTTs.
 
 Functionally the banks of one spec run in lockstep: every bank decodes
 the same per-bank program (the programs differ only in their bank
-field), so a dispatch executes each same-spec group as one stacked
-:class:`~repro.pim.bank_pim.PimBank` — one plan walk, one host load and
-read, one batched golden check — over a row window holding just the
-rows the program and its host I/O touch.
+field), so :func:`run_lockstep` executes each same-spec group as one
+stacked :class:`~repro.pim.bank_pim.PimBank` — one plan walk, one host
+load and read, one batched golden check — over a row window holding
+just the rows the program and its host I/O touch.  It is the one
+functional executor: single transforms (:class:`~repro.sim.driver.NttPimDriver`),
+batches, FHE ring products and multi-bank dispatches all run on it.
 """
 
 from __future__ import annotations
@@ -42,25 +45,29 @@ from ..mapping.program_cache import (
     negacyclic_program,
     programs_recipe_key,
 )
-from ..ntt.negacyclic import NegacyclicParams
+from ..ntt.negacyclic import NegacyclicParams, twist_tables
 from ..ntt.reference import intt as reference_intt
 from ..ntt.reference import ntt as reference_ntt
 from ..pim.bank_pim import PimBank
 from .driver import SimConfig, cached_schedule
 
 __all__ = ["TransformSpec", "interleave_programs", "compile_multibank",
-           "MultiBankResult"]
+           "MultiBankResult", "run_lockstep"]
 
 
 @dataclasses.dataclass(frozen=True)
 class TransformSpec:
     """One per-bank transform kind of a multi-bank dispatch.
 
-    ``kind`` is ``"ntt"`` (cyclic, ``params``) or ``"negacyclic"``
-    (merged C1N mapping, ``ring``); ``inverse`` selects the inverse
-    transform, whose final 1/N scale runs host-side exactly as in the
-    standalone driver paths — so a merged dispatch stays bit-identical
-    to per-request ``Simulator.run`` calls.
+    ``kind`` is ``"ntt"`` (cyclic, ``params``), ``"negacyclic"`` (merged
+    C1N mapping, ``ring``) or ``"hosted"`` (``ring``'s negacyclic
+    transform the paper's way: host psi pre-scaling, then the cyclic
+    NTT of ``ring.cyclic`` on the PIM; the inverse runs the inverse
+    cyclic NTT and folds psi^-i and 1/N into one host post-scale).
+    ``inverse`` selects the inverse transform, whose final 1/N scale
+    runs host-side exactly as in the standalone driver paths — so a
+    merged dispatch stays bit-identical to per-request
+    ``Simulator.run`` calls.
     """
 
     kind: str = "ntt"
@@ -77,11 +84,11 @@ class TransformSpec:
 
     @property
     def n(self) -> int:
-        return self.ring.n if self.kind == "negacyclic" else self.params.n
+        return self.params.n if self.kind == "ntt" else self.ring.n
 
     @property
     def q(self) -> int:
-        return self.ring.q if self.kind == "negacyclic" else self.params.q
+        return self.params.q if self.kind == "ntt" else self.ring.q
 
     # -- per-bank artifacts ------------------------------------------------------
     def program(self, config: SimConfig, bank: int) -> CachedProgram:
@@ -90,22 +97,37 @@ class TransformSpec:
             return negacyclic_program(self.ring, config.arch, config.pim,
                                       config.base_row, bank,
                                       inverse=self.inverse)
-        ntt = self.params.inverse() if self.inverse else self.params
+        ntt = self.cyclic_params
+        if self.inverse:
+            ntt = ntt.inverse()
         return cyclic_program(ntt, config.arch, config.pim, config.base_row,
                               bank, config.mapper_options)
 
     def lanes(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
         """A group's inputs as one ``(B, n)`` uint64 array: negacyclic
-        inputs reduced mod ``q`` (their bank image), cyclic ones as
-        given."""
-        if self.kind != "negacyclic":
+        inputs reduced mod ``q`` (their bank image; a hosted forward
+        input also psi-scaled), cyclic ones as given."""
+        if self.kind == "ntt" or (self.kind == "hosted" and self.inverse):
             return np.array(rows, dtype=np.uint64)
+        q = self.q
         try:
-            values = np.array(rows, dtype=np.uint64)
+            values = np.array(rows, dtype=np.uint64) % np.uint64(q)
         except OverflowError:  # negative or >= 2**64: reduce exactly
-            return np.array([[v % self.q for v in row] for row in rows],
-                            dtype=np.uint64)
-        return values % np.uint64(self.q)
+            values = np.array([[v % q for v in row] for row in rows],
+                              dtype=np.uint64)
+        if self.kind == "negacyclic":
+            return values
+        return self._host_scale(values, twist_tables(self.ring)[0])
+
+    def _host_scale(self, values: np.ndarray, scale) -> np.ndarray:
+        """``values * scale mod q`` over ``(B, n)`` rows, where ``scale``
+        is a scalar or a per-coefficient table."""
+        q = self.q
+        if vector.numpy_active(q):
+            return vector.mod_mul_arr(values, scale, q)
+        table = np.broadcast_to(scale, values.shape[-1:]).tolist()
+        return np.array([[(v * s) % q for v, s in zip(row, table)]
+                         for row in values.tolist()], dtype=np.uint64)
 
     def load_layout(self, values: np.ndarray) -> np.ndarray:
         """Bank-resident input image of :meth:`lanes` rows (the Sec. IV.A
@@ -118,22 +140,24 @@ class TransformSpec:
     def finalize(self, output: np.ndarray) -> List[List[int]]:
         """Host-side epilogue over read-back ``(B, n)`` rows: the inverse
         transforms' 1/N scale (the same pass the standalone driver paths
-        apply)."""
+        apply; the hosted inverse folds psi^-i into it)."""
         if not self.inverse:
             return output.tolist()
-        n_inv, q = self.cyclic_params.n_inv, self.q
-        if vector.numpy_active(q):
-            return vector.mod_mul_arr(output, np.uint64(n_inv), q).tolist()
-        return [[(v * n_inv) % q for v in row] for row in output.tolist()]
+        if self.kind == "hosted":
+            scale = twist_tables(self.ring)[1]
+        else:
+            scale = np.uint64(self.cyclic_params.n_inv)
+        return self._host_scale(output, scale).tolist()
 
     @property
     def cyclic_params(self) -> NttParams:
         """The cyclic parameter view (negacyclic rings embed one)."""
-        return self.ring.cyclic if self.kind == "negacyclic" else self.params
+        return self.params if self.kind == "ntt" else self.ring.cyclic
 
     def expected(self, values: Sequence[int]) -> List[int]:
-        """Golden model of one bank's *finalized* output, or of every row
-        of a ``(B, n)`` array in one batched pass."""
+        """Golden model of one bank's *finalized* output from its
+        :meth:`lanes` row, or of every row of a ``(B, n)`` array in one
+        batched pass."""
         if self.kind == "negacyclic":
             from ..ntt.merged import (
                 merged_negacyclic_intt,
@@ -142,9 +166,15 @@ class TransformSpec:
             golden = (merged_negacyclic_intt if self.inverse
                       else merged_negacyclic_ntt)
             return golden(values, self.ring)
+        if self.kind == "hosted" and self.inverse:
+            # Looked up at call time, so a wrapper installed on
+            # repro.ntt.negacyclic (a tracer's golden-model span) sees it.
+            from ..ntt.negacyclic import negacyclic_intt
+            return [negacyclic_intt(row, self.ring) for row in values]
         if self.inverse:
             return reference_intt(values, self.params)
-        return reference_ntt(values, self.params)
+        # A hosted forward's lanes are already psi-scaled.
+        return reference_ntt(values, self.cyclic_params)
 
     def describe(self) -> str:
         return f"{'inverse ' if self.inverse else ''}{self.kind}"
@@ -298,6 +328,46 @@ def _lockstep_banks(spec: TransformSpec, stream: CommandStream,
     return [fresh(1) for _ in range(count)]
 
 
+def run_lockstep(spec: TransformSpec, program: CachedProgram,
+                 stream: CommandStream, inputs: Sequence[Sequence[int]],
+                 config: SimConfig,
+                 banks: Optional[Sequence[int]] = None
+                 ) -> Tuple[List[List[int]], int]:
+    """The functional executor: run ``len(inputs)`` transforms of one
+    spec as lockstep banks of ``program`` (compiled to ``stream``).
+
+    One host load of the spec's input image, one plan walk over a row
+    window (see :func:`_lockstep_banks`), one read, the spec's host
+    epilogue and — when ``config.verify`` is on — one batched golden
+    check, raising :class:`FunctionalMismatch` that names the first
+    wrong bank (by its number in ``banks``, default the input index).
+    Returns the finalized output rows and the butterfly µ-ops executed
+    across the group.
+    """
+    window = _row_window(stream, program, config, spec.n)
+    values = spec.lanes(inputs)
+    layout = spec.load_layout(values)
+    read = np.empty_like(layout)
+    bu_ops = 0
+    start = 0
+    for bank in _lockstep_banks(spec, stream, window, len(layout), config):
+        part = slice(start, start + bank.banks)
+        start = part.stop
+        bank.load_polynomial(config.base_row, layout[part])
+        bank.run_stream(stream)
+        read[part] = bank.read_polynomial(program.result_base_row, spec.n)
+        bu_ops += bank.cu.bu_ops
+    rows = spec.finalize(read)
+    if config.verify:
+        for k, got, want in zip(banks or range(len(rows)), rows,
+                                spec.expected(values)):
+            if got != want:
+                raise FunctionalMismatch(
+                    f"multi-bank result wrong on bank {k} "
+                    f"({spec.describe()})")
+    return rows, bu_ops
+
+
 def _run_multibank(inputs: Sequence[Sequence[int]], spec,
                    config: SimConfig | None = None) -> MultiBankResult:
     """Run ``len(inputs)`` independent transforms, one per bank.
@@ -329,28 +399,10 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
         for bspec, members in _spec_groups(specs).items():
             program = programs[members[0]]
             stream = cached_stream(program.ir, config.arch, key=program.key)
-            window = _row_window(stream, program, config, bspec.n)
-            values = bspec.lanes([inputs[k] for k in members])
-            layout = bspec.load_layout(values)
-            read = np.empty_like(layout)
-            start = 0
-            for bank in _lockstep_banks(bspec, stream, window, len(members),
-                                        config):
-                part = slice(start, start + bank.banks)
-                start = part.stop
-                bank.load_polynomial(config.base_row, layout[part])
-                bank.run_stream(stream)
-                read[part] = bank.read_polynomial(program.result_base_row,
-                                                  bspec.n)
-                bu_ops += bank.cu.bu_ops
-            rows = bspec.finalize(read)
-            if config.verify:
-                for k, got, want in zip(members, rows,
-                                        bspec.expected(values)):
-                    if got != want:
-                        raise FunctionalMismatch(
-                            f"multi-bank result wrong on bank {k} "
-                            f"({bspec.describe()})")
+            rows, group_ops = run_lockstep(
+                bspec, program, stream, [inputs[k] for k in members], config,
+                banks=members)
+            bu_ops += group_ops
             for k, row in zip(members, rows):
                 outputs[k] = row
         verified = config.verify

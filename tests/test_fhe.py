@@ -144,3 +144,22 @@ class TestPimFheAccelerator:
         rng = random.Random(14)
         a = [rng.randrange(ring.q) for _ in range(ring.n)]
         assert acc.inverse(acc.forward(a)) == a
+
+    def test_ring_tables_shared_across_accelerators(self):
+        """The hosted transform's host passes are per-ring tables built
+        once: psi^i and psi^-i * N^-1 as read-only uint64 lanes, and one
+        inverse cyclic parameter set."""
+        from repro.arith import mod_inverse
+        from repro.ntt.negacyclic import twist_tables
+        ring = self._ring()
+        twin = NegacyclicParams(ring.n, ring.q, ring.psi)
+        forward, inverse = twist_tables(ring)
+        assert twist_tables(twin)[0] is forward
+        assert twist_tables(twin)[1] is inverse
+        assert not forward.flags.writeable and not inverse.flags.writeable
+        n_inv = mod_inverse(ring.n, ring.q)
+        assert forward.tolist() == [pow(ring.psi, i, ring.q)
+                                    for i in range(ring.n)]
+        assert inverse.tolist() == [pow(ring.psi_inv, i, ring.q) * n_inv
+                                    % ring.q for i in range(ring.n)]
+        assert ring.cyclic.inverse() is twin.cyclic.inverse()

@@ -3,14 +3,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.arith import NttParams, is_prime
+from repro.arith import NttParams, find_ntt_prime, is_prime, use_backend
 from repro.ntt import naive_negacyclic_convolution
 from repro.ntt.incomplete import (
     IncompleteNttParams,
     incomplete_basemul,
     incomplete_intt,
     incomplete_ntt,
+    incomplete_params,
 )
 from repro.pim import PimParams
 from repro.sim import NttPimDriver, SimConfig
@@ -55,6 +58,34 @@ class TestIncompleteNtt:
             IncompleteNttParams(256, KYBER_Q, 3)
         with pytest.raises(ValueError):
             IncompleteNttParams(256, KYBER_Q, 256)
+
+    @given(log_n=st.integers(min_value=1, max_value=10),
+           log_depth=st.integers(min_value=0, max_value=9),
+           q=st.sampled_from([KYBER_Q, find_ntt_prime(1024, 30, negacyclic=True),
+                              find_ntt_prime(1024, 62, negacyclic=True)]),
+           seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_match_list_loops(self, log_n, log_depth, q, seed):
+        """The NumPy stage-wise path equals the per-coefficient list
+        loops (the ``REPRO_BACKEND=python`` path) on every transform,
+        operands outside ``[0, q)`` included."""
+        n, depth = 1 << log_n, 1 << log_depth
+        assume(depth <= n // 2 and (q - 1) % (2 * n // depth) == 0)
+        params = incomplete_params(n, q, depth)
+        rng = random.Random(seed)
+        a = [rng.randrange(-q, 2 * q) for _ in range(n)]
+        b = [rng.randrange(q) for _ in range(n)]
+        results = {}
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                a_hat = incomplete_ntt(a, params)
+                b_hat = incomplete_ntt(b, params)
+                prod = incomplete_basemul(a_hat, b_hat, params)
+                results[backend] = (a_hat, b_hat, prod,
+                                    incomplete_intt(prod, params),
+                                    incomplete_intt(a, params))
+        assert results["numpy"] == results["python"]
+        assert results["numpy"][3] == naive_negacyclic_convolution(a, b, q)
 
     def test_wrong_lengths_rejected(self):
         p = IncompleteNttParams(64, KYBER_Q, 2)

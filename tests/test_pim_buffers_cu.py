@@ -7,10 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith import NttParams, bit_reverse_permute, mod_pow
+from repro.dram.engine import ComputeTiming
 from repro.errors import MappingError
 from repro.mapping.twiddle_params import c1_root, c2_twiddles
 from repro.ntt import direct_ntt, ntt
-from repro.pim import AtomBufferFile, ComputeUnit
+from repro.pim import AtomBufferFile, ComputeUnit, PimParams
+from repro.sim.driver import (
+    NttPimDriver,
+    SimConfig,
+    clear_schedule_cache,
+    schedule_cache_info,
+)
 
 Q = 12289
 
@@ -186,3 +193,32 @@ def test_property_c1_montgomery_plain_agree(seed):
     cu_m.set_modulus(Q)
     cu_p.set_modulus(Q)
     assert cu_m.execute_c1(list(x), root, 0) == cu_p.execute_c1(list(x), root, 0)
+
+
+class TestComputeTimingMemo:
+    def test_one_instance_equal_to_a_fresh_one(self):
+        pim = PimParams(nb_buffers=4, c1_cycles=12, param_write_cycles=3)
+        timing = pim.compute_timing()
+        assert pim.compute_timing() is timing
+        assert timing == ComputeTiming(c1_cycles=12, c2_cycles=10,
+                                       param_cycles=3)
+        assert timing.code_latencies() == ComputeTiming(
+            c1_cycles=12, c2_cycles=10, param_cycles=3).code_latencies()
+        # The memo is not a field: equality and hashing ignore it.
+        twin = PimParams(nb_buffers=4, c1_cycles=12, param_write_cycles=3)
+        assert twin == pim and hash(twin) == hash(pim)
+        assert twin.compute_timing() == timing
+
+    def test_schedule_cache_keys_still_hit(self):
+        params = NttParams(64, Q)
+        clear_schedule_cache()
+        first = NttPimDriver(SimConfig(pim=PimParams(nb_buffers=2)))
+        first._run_ntt([0] * 64, params)
+        before = schedule_cache_info()
+        # An equal (not identical) PimParams keys the same schedule.
+        second = NttPimDriver(SimConfig(pim=PimParams(nb_buffers=2)))
+        run = second._run_ntt([1] * 64, params)
+        after = schedule_cache_info()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert run.verified

@@ -8,6 +8,7 @@ from repro.arith import NttParams, find_ntt_prime
 from repro.errors import FunctionalMismatch
 from repro.ntt import intt, ntt
 from repro.pim import PimParams
+from repro.pim.bank_pim import PimBank
 from repro.sim import NttPimDriver, SimConfig
 
 Q = find_ntt_prime(4096, 32)
@@ -55,14 +56,19 @@ class TestRunNtt:
         # N/2 * log N butterflies exactly — full data reuse, no recompute.
         assert result.bu_ops == (n // 2) * 9
 
-    def test_verification_catches_corruption(self):
-        """A wrong omega (mismatched verify target) must raise."""
+    def test_verification_catches_corruption(self, monkeypatch):
+        """A corrupted PIM result must raise."""
         n = 256
-        params = NttParams(n, Q)
-        driver = NttPimDriver()
+        original = PimBank.read_polynomial
+
+        def corrupted(self, base_row, length):
+            out = original(self, base_row, length)
+            out[..., 7] ^= 1
+            return out
+
+        monkeypatch.setattr(PimBank, "read_polynomial", corrupted)
         with pytest.raises(FunctionalMismatch):
-            driver._run_ntt_with_params([0] * n + [], params,
-                                       verify_against=[1] * n)
+            NttPimDriver()._run_ntt([0] * n, NttParams(n, Q))
 
 
 class TestInverse:

@@ -32,7 +32,7 @@ from repro.ntt import (
     ntt_dit_bitrev_input,
 )
 from repro.pim import ComputeUnit
-from repro.sim.driver import NttPimDriver, VERIFY_DEFAULT
+from repro.sim.driver import NttPimDriver
 
 # Moduli spanning the four lane regimes: direct uint64 products,
 # Montgomery splitting (products overflow 64 bits), near the 63-bit
@@ -281,17 +281,3 @@ class TestDriverBothBackends:
         with use_backend(backend):
             result = NttPimDriver()._run_negacyclic_ntt(x, ring)
         assert result.verified
-
-    def test_verify_default_sentinel(self):
-        n = 256
-        params = NttParams(n, Q_SMALL)
-        rng = random.Random(9)
-        x = [rng.randrange(Q_SMALL) for _ in range(n)]
-        driver = NttPimDriver()
-        implicit = driver._run_ntt_with_params(x, params)
-        explicit = driver._run_ntt_with_params(x, params,
-                                              verify_against=VERIFY_DEFAULT)
-        unverified = driver._run_ntt_with_params(x, params, verify_against=None)
-        assert implicit.verified and explicit.verified
-        assert not unverified.verified
-        assert implicit.output == explicit.output == unverified.output
